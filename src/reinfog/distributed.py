@@ -22,7 +22,8 @@ import queue
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -69,7 +70,6 @@ class SyncConfig:
 class SessionState:
     worker_id: str
     last_seq: int = -1
-    last_policy_version_acked: int = -1
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:
@@ -84,6 +84,16 @@ def endpoint_from_env() -> tuple[str, int]:
     if not raw:
         raise ValueError(f"no endpoint given and {ENDPOINT_ENV_VAR} is unset")
     return parse_endpoint(raw)
+
+
+def _take_batches(pending: list[Experience], size: int,
+                  everything: bool = False) -> Iterator[tuple[Experience, ...]]:
+    """Cut full batches of `size` off the front of `pending`; with
+    `everything`, the short remainder too."""
+    while len(pending) >= size or (everything and pending):
+        batch = tuple(pending[:size])
+        del pending[:len(batch)]
+        yield batch
 
 
 class _TrainerCore:
@@ -145,7 +155,8 @@ class Learner:
 
     Stops on its own once `max_updates` is reached, or once all
     `expected_workers` sessions have connected and drained. stop() forces
-    teardown regardless.
+    teardown regardless. If the trainer thread fails, the learner stops
+    and join() re-raises the failure.
     """
 
     def __init__(self, state_dim: int, n_actions: int,
@@ -173,6 +184,7 @@ class Learner:
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._train_done = threading.Event()
+        self._train_error: Exception | None = None
         self._listener: socket.socket | None = None
         self._threads: list[threading.Thread] = []
         self._session_threads: list[threading.Thread] = []
@@ -181,7 +193,6 @@ class Learner:
 
     def start(self) -> "Learner":
         self._listener = socket.create_server((self._host, self._port))
-        self._listener.settimeout(0.2)
         for target in (self._accept_loop, self._train_loop):
             t = threading.Thread(target=target, daemon=True)
             t.start()
@@ -197,7 +208,8 @@ class Learner:
     def stop(self, reason: str = "server stopped") -> None:
         if not self._stop.is_set():
             self._broadcast(Shutdown(reason))
-            self._stop.set()
+            self._halt()
+            self._queue.put(None)  # wakes the trainer
         with self._lock:
             for session in self._sessions.values():
                 try:
@@ -205,7 +217,21 @@ class Learner:
                 except OSError:
                     pass
 
+    def _halt(self) -> None:
+        """Set the stop flag and wake the accept loop blocked in accept()."""
+        self._stop.set()
+        if self._listener is None:
+            return
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+
     def join(self, timeout: float | None = None) -> bool:
+        """Wait for training, sessions and threads to end; False on timeout.
+
+        Re-raises the exception that ended the trainer thread, if any.
+        """
         deadline = None if timeout is None else time.monotonic() + timeout
 
         def left() -> float | None:
@@ -217,13 +243,14 @@ class Learner:
             t.join(left())
             if t.is_alive():
                 return False
-        self._stop.set()
+        self._halt()
         for t in self._threads:
             t.join(left())
             if t.is_alive():
                 return False
-        if self._listener is not None:
-            self._listener.close()
+        self._listener.close()
+        if self._train_error is not None:
+            raise self._train_error
         return True
 
     # -- threads -----------------------------------------------------------
@@ -232,9 +259,7 @@ class Learner:
         while not self._stop.is_set():
             try:
                 sock, _ = self._listener.accept()
-            except TimeoutError:
-                continue
-            except OSError:
+            except OSError:  # _halt() shut the listener down
                 break
             t = threading.Thread(target=self._session_loop, args=(sock,),
                                  daemon=True)
@@ -264,7 +289,6 @@ class Learner:
                 write_frame(sock, Shutdown("duplicate worker id"))
                 return
             # bootstrap the worker onto the current global policy
-            session.state.last_policy_version_acked = self.policy_version
             session.send(PolicySync(self.policy_version, self.agent.online.copy()))
             while not self._stop.is_set():
                 msg = read_frame(sock)
@@ -310,6 +334,8 @@ class Learner:
                     if self._drained():
                         break
                     continue
+                if arrival is None:  # stop() woke us
+                    continue
                 self.arrival_log.append(arrival)
                 if not self._core.ingest(arrival[2]):
                     continue
@@ -320,28 +346,21 @@ class Learner:
                         and self.updates >= self._max_updates:
                     self._broadcast(Shutdown("training complete"))
                     break
+        except Exception as exc:
+            self._train_error = exc
+            self.stop(f"trainer failed: {exc!r}")
         finally:
             self._train_done.set()
 
     def _broadcast_policy(self) -> None:
         self.policy_version += 1
-        snapshot = self.agent.online.copy()
-        with self._lock:
-            sessions = list(self._sessions.values())
-        for session in sessions:
-            if session.send(PolicySync(self.policy_version, snapshot)):
-                session.state.last_policy_version_acked = self.policy_version
+        self._broadcast(PolicySync(self.policy_version, self.agent.online.copy()))
 
     def _broadcast(self, msg: WireMessage) -> None:
         with self._lock:
             sessions = list(self._sessions.values())
         for session in sessions:
             session.send(msg)
-
-
-def learner_serve(state_dim: int, n_actions: int, **kwargs) -> Learner:
-    """Start a learner and hand back its run handle."""
-    return Learner(state_dim, n_actions, **kwargs).start()
 
 
 def _connect_with_retry(endpoint: tuple[str, int]) -> socket.socket:
@@ -457,13 +476,11 @@ def worker_loop(endpoint: tuple[str, int] | None, worker_id: str,
 
     def flush(everything: bool = False) -> None:
         nonlocal seq, batches, experiences_sent
-        while len(pending) >= sync.batch_flush or (everything and pending):
-            chunk = tuple(pending[:sync.batch_flush])
-            del pending[:len(chunk)]
+        for batch in _take_batches(pending, sync.batch_flush, everything):
             seq += 1
-            write_frame(sock, ExperienceBatch(worker_id, seq, chunk))
+            write_frame(sock, ExperienceBatch(worker_id, seq, batch))
             batches += 1
-            experiences_sent += len(chunk)
+            experiences_sent += len(batch)
 
     try:
         write_frame(sock, WorkerHello(worker_id))
@@ -476,9 +493,7 @@ def worker_loop(endpoint: tuple[str, int] | None, worker_id: str,
             episodes_run += 1
             rewards.append(sum(result.rewards))
             wcs.append(result.total_wc)
-            pending.extend(
-                Experience(s.state, s.action, s.reward, s.next_state, s.done)
-                for s in result.steps)
+            pending.extend(result.steps)
             flush()
         flush(everything=True)
         try:
@@ -546,23 +561,16 @@ def centralized_mode(cluster: ClusterSpec, workload, episodes: int,
     trace: list[EpisodeRow] = []
     updates = 0
 
-    def drain(everything: bool = False) -> int:
+    def drain(everything: bool = False) -> None:
         nonlocal updates
-        done = 0
-        while len(pending) >= sync.batch_flush or (everything and pending):
-            chunk = tuple(pending[:sync.batch_flush])
-            del pending[:len(chunk)]
-            if core.ingest(chunk):
+        for batch in _take_batches(pending, sync.batch_flush, everything):
+            if core.ingest(batch):
                 updates += 1
-                done += 1
-        return done
 
     for episode in range(episodes):
         result = run_episode(cluster, workload, agent.act, spec,
                              releases, origin)
-        pending.extend(
-            Experience(s.state, s.action, s.reward, s.next_state, s.done)
-            for s in result.steps)
+        pending.extend(result.steps)
         drain()
         trace.append(EpisodeRow(episode=episode, steps=len(result.steps),
                                 total_reward=sum(result.rewards),

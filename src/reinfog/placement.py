@@ -96,23 +96,13 @@ class PlacementParams:
         return cls(**kw)
 
 
-@dataclass
-class Individual:
-    """One candidate: integer assignment plus PSO shadow state for its slot."""
-
-    assignment: np.ndarray
-    position: np.ndarray
-    velocity: np.ndarray
-    personal_best: tuple[np.ndarray, float]
-
-
 class Population:
     """Array-backed population; row index addresses one individual.
 
     Swarm state (velocity, personal best) belongs to the individual living in
-    the row. Engines that replace a generation wholesale re-key that state to
-    the incoming individuals; replace_assignments only carries it over for
-    callers that treat rows as surviving particles.
+    the row. replace_assignments leaves it alone: an engine that replaces a
+    generation wholesale and then reads swarm state must re-key it to the
+    incoming individuals.
     """
 
     def __init__(self, assign: np.ndarray, position: np.ndarray, velocity: np.ndarray,
@@ -136,32 +126,10 @@ class Population:
     def __len__(self) -> int:
         return self.size
 
-    def __getitem__(self, i: int) -> Individual:
-        return Individual(self.assign[i].copy(), self.position[i].copy(),
-                          self.velocity[i].copy(),
-                          (self.pbest_assign[i].copy(), float(self.pbest_fitness[i])))
-
-    def individuals(self) -> list[Individual]:
-        return [self[i] for i in range(self.size)]
-
     def replace_assignments(self, new_assign: np.ndarray) -> None:
-        """Install a new generation; slot-keyed PSO state is kept where slots overlap."""
-        old = self.size
-        new = new_assign.shape[0]
+        """Install a new generation; positions mirror it, swarm state is untouched."""
         self.assign = new_assign
         self.position = new_assign.astype(float)
-        if new != old:
-            keep = min(old, new)
-            velocity = np.zeros_like(self.position)
-            velocity[:keep] = self.velocity[:keep]
-            self.velocity = velocity
-            pb_a = new_assign.copy()
-            pb_x = self.position.copy()
-            pb_f = np.full(new, -np.inf)
-            pb_a[:keep] = self.pbest_assign[:keep]
-            pb_x[:keep] = self.pbest_position[:keep]
-            pb_f[:keep] = self.pbest_fitness[:keep]
-            self.pbest_assign, self.pbest_position, self.pbest_fitness = pb_a, pb_x, pb_f
 
 
 class _CostTables:
@@ -427,10 +395,10 @@ def _run_engine(inst: PlacementInstance, params: PlacementParams,
             # bests are keyed to individuals, so each fresh one is its own
             # best and starts at rest. Keeping the dead slots' bests instead
             # anchors the swarm to long-gone genomes and stalls the search.
-            pop.pbest_assign[:] = pop.assign
-            pop.pbest_position[:] = pop.position
-            pop.pbest_fitness[:] = tables.fitness_many(pop.assign, lam)
-            pop.velocity[:] = 0.0
+            pop.pbest_assign = pop.assign.copy()
+            pop.pbest_position = pop.position.copy()
+            pop.pbest_fitness = tables.fitness_many(pop.assign, lam)
+            pop.velocity = np.zeros_like(pop.position)
         if pso_phase:
             pso_update(pop, inst, gbest_position, params.pso_w,
                        params.pso_c1, params.pso_c2, rng)

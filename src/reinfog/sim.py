@@ -7,7 +7,8 @@ Two execution semantics live here and agree on single-path workloads:
   task at a time, picking waiting tasks in ready-time order (ties broken by
   app id then task id).
 * `IncrementalSim` commits one decision at a time in the order an agent
-  makes them, which is what `run_episode` and the baselines drive. A node
+  makes them, which is what `run_episode` and the baselines drive. Only
+  `run_episode` encodes states; the baselines never read them. A node
   serves commits in commit order, so an earlier decision never migrates
   behind a later one.
 
@@ -19,9 +20,10 @@ task failed but still executes it (the penalty lands in the reward).
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -37,6 +39,7 @@ from .model import (
     topo_order,
     weighted_cost,
 )
+from .replay import Experience
 
 # pseudo node id for the data origin (user / gateway side)
 USER = -1
@@ -197,17 +200,26 @@ class RewardSpec:
             raise ValueError("failure_penalty must be negative")
 
 
+def _incremental_cost(out: StepOutcome, spec: RewardSpec) -> float:
+    """Normalized metric, surcharged by |failure_penalty| on failure."""
+    rt = out.rt_s / spec.baseline_rt
+    ec = out.energy_j / spec.baseline_ec
+    if spec.metric == "response_time":
+        cost = rt
+    elif spec.metric == "energy":
+        cost = ec
+    else:
+        cost = spec.w1 * rt + spec.w2 * ec
+    if not out.success:
+        cost += abs(spec.failure_penalty)
+    return cost
+
+
 def compute_reward(outcome: StepOutcome, spec: RewardSpec) -> float:
     """Negative normalized metric on success, flat penalty on failure."""
     if not outcome.success:
         return spec.failure_penalty
-    rt = outcome.rt_s / spec.baseline_rt
-    ec = outcome.energy_j / spec.baseline_ec
-    if spec.metric == "response_time":
-        return -rt
-    if spec.metric == "energy":
-        return -ec
-    return -(spec.w1 * rt + spec.w2 * ec)
+    return -_incremental_cost(outcome, spec)
 
 
 def decode_action(raw: int, n: int) -> int:
@@ -490,39 +502,24 @@ def simulate_schedule(cluster: ClusterSpec, dag: AppDag,
 
 
 @dataclass(frozen=True)
-class EpisodeStep:
-    state: tuple[float, ...]
-    action: int
-    reward: float
-    next_state: tuple[float, ...]
-    done: bool
-
-
-@dataclass(frozen=True)
 class EpisodeResult:
     configs: tuple[ScheduleConfig, ...]
     total_rt: float
     total_ec: float
     total_wc: float
     rewards: tuple[float, ...]
-    steps: tuple[EpisodeStep, ...]
+    steps: tuple[Experience, ...]  # empty for the baselines
 
 
 def _drive(cluster: ClusterSpec, workload: Sequence[AppDag],
-           choose: Callable[[IncrementalSim, AppDag, Task, np.ndarray], int],
+           choose: Callable[[IncrementalSim, AppDag, Task], int],
            reward_spec: RewardSpec | None,
            releases: Mapping[int, float] | None,
            origin: int) -> EpisodeResult:
+    """Commit every decision `choose` makes; the result carries no transitions."""
     sim = IncrementalSim(cluster, workload, releases, origin)
-    states: list[np.ndarray] = []
-    actions: list[int] = []
-    outcomes: list[StepOutcome] = []
-    for app, task in _decision_order(sim.workload, sim.releases):
-        state = encode_state(cluster, sim, app, task)
-        action = decode_action(choose(sim, app, task, state), cluster.n)
-        outcomes.append(sim.commit(app, task, action))
-        states.append(state)
-        actions.append(action)
+    outcomes = [sim.commit(app, task, choose(sim, app, task))
+                for app, task in _decision_order(sim.workload, sim.releases)]
 
     configs = tuple(sim.config_for(app) for app in sim.workload)
     check_schedule(cluster, sim.workload, configs, origin)
@@ -533,16 +530,7 @@ def _drive(cluster: ClusterSpec, workload: Sequence[AppDag],
     wc = weighted_cost(rt, ec, spec.baseline_rt, spec.baseline_ec,
                        spec.w1, spec.w2)
     rewards = tuple(compute_reward(out, spec) for out in outcomes)
-    terminal = tuple([0.0] * (3 * cluster.n + 4))
-    steps = tuple(
-        EpisodeStep(state=tuple(states[i]), action=actions[i],
-                    reward=rewards[i],
-                    next_state=tuple(states[i + 1]) if i + 1 < len(states)
-                    else terminal,
-                    done=i + 1 == len(states))
-        for i in range(len(states))
-    )
-    return EpisodeResult(configs, rt, ec, wc, rewards, steps)
+    return EpisodeResult(configs, rt, ec, wc, rewards, ())
 
 
 def run_episode(cluster: ClusterSpec, workload: Sequence[AppDag],
@@ -552,13 +540,30 @@ def run_episode(cluster: ClusterSpec, workload: Sequence[AppDag],
                 origin: int = USER) -> EpisodeResult:
     """Walk every task in arrival then topological order through the policy.
 
-    With reward_spec None the episode normalizes against its own totals,
-    which pins total_wc to exactly 1.0; pass a spec built from a baseline
-    run for anything comparative.
+    Returns one Experience per decision; the last one is terminal with an
+    all-zero next state. With reward_spec None the episode normalizes
+    against its own totals, which pins total_wc to exactly 1.0; pass a
+    spec built from a baseline run for anything comparative.
     """
-    return _drive(cluster, workload,
-                  lambda sim, app, task, state: policy(state),
-                  reward_spec, releases, origin)
+    encoded: list[np.ndarray] = []
+    actions: list[int] = []
+
+    def choose(sim: IncrementalSim, app: AppDag, task: Task) -> int:
+        state = encode_state(cluster, sim, app, task)
+        action = decode_action(policy(state), cluster.n)
+        encoded.append(state)
+        actions.append(action)
+        return action
+
+    result = _drive(cluster, workload, choose, reward_spec, releases, origin)
+    # transitions are built after the loop: nothing extra runs between decisions
+    states = [tuple(state) for state in encoded]
+    next_states = states[1:] + [tuple([0.0] * (3 * cluster.n + 4))]
+    last = len(states) - 1
+    steps = tuple(Experience(state, action, reward, nxt, i == last)
+                  for i, (state, action, reward, nxt)
+                  in enumerate(zip(states, actions, result.rewards, next_states)))
+    return replace(result, steps=steps)
 
 
 def baseline_round_robin(cluster: ClusterSpec, workload: Sequence[AppDag],
@@ -566,29 +571,10 @@ def baseline_round_robin(cluster: ClusterSpec, workload: Sequence[AppDag],
                          releases: Mapping[int, float] | None = None,
                          origin: int = USER) -> EpisodeResult:
     """Cycle node indices across decisions, irrespective of state."""
-    counter = {"k": 0}
-
-    def choose(sim: IncrementalSim, app: AppDag, task: Task,
-               state: np.ndarray) -> int:
-        node = counter["k"] % cluster.n
-        counter["k"] += 1
-        return node
-
-    return _drive(cluster, workload, choose, reward_spec, releases, origin)
-
-
-def _incremental_cost(out: StepOutcome, spec: RewardSpec) -> float:
-    rt = out.rt_s / spec.baseline_rt
-    ec = out.energy_j / spec.baseline_ec
-    if spec.metric == "response_time":
-        cost = rt
-    elif spec.metric == "energy":
-        cost = ec
-    else:
-        cost = spec.w1 * rt + spec.w2 * ec
-    if not out.success:
-        cost += abs(spec.failure_penalty)
-    return cost
+    counter = itertools.count()
+    return _drive(cluster, workload,
+                  lambda sim, app, task: next(counter) % cluster.n,
+                  reward_spec, releases, origin)
 
 
 def baseline_greedy(cluster: ClusterSpec, workload: Sequence[AppDag],
@@ -605,8 +591,7 @@ def baseline_greedy(cluster: ClusterSpec, workload: Sequence[AppDag],
     spec = reward_spec or make_reward_spec(cluster, workload,
                                            releases=releases, origin=origin)
 
-    def choose(sim: IncrementalSim, app: AppDag, task: Task,
-               state: np.ndarray) -> int:
+    def choose(sim: IncrementalSim, app: AppDag, task: Task) -> int:
         costs = [_incremental_cost(sim.peek(app, task, node), spec)
                  for node in range(cluster.n)]
         return int(np.argmin(costs))

@@ -12,7 +12,6 @@ from reinfog.distributed import (
     WorkerReport,
     centralized_mode,
     endpoint_from_env,
-    learner_serve,
     parse_endpoint,
     replay_arrivals,
     worker_loop,
@@ -44,7 +43,7 @@ def small_learner(**over) -> Learner:
     kw = dict(cfg=SMALL_CFG, sync=SyncConfig(sync_interval=2, batch_flush=4),
               seed=7)
     kw.update(over)
-    return learner_serve(STATE_DIM, CLUSTER.n, **kw)
+    return Learner(STATE_DIM, CLUSTER.n, **kw).start()
 
 
 def run_worker(address, wid, episodes=4, **over) -> WorkerReport:
@@ -204,6 +203,33 @@ def test_out_of_order_seq_terminates_session():
         sock.close()
         learner.stop()
         learner.join(timeout=10.0)
+
+
+def test_idle_learner_stops_promptly():
+    learner = small_learner()
+    started = time.monotonic()
+    learner.stop()
+    assert learner.join(timeout=5.0)
+    assert time.monotonic() - started < 0.1
+
+
+def test_trainer_crash_is_raised_from_join():
+    cfg = DqnConfig(hidden_sizes=(8,), batch_size=4, buffer_capacity=64)
+    learner = small_learner(cfg=cfg, expected_workers=1)
+    ragged = tuple(Experience((0.0,) * dim, 0, -1.0, (0.0,) * dim, False)
+                   for dim in (2, 3, 2, 3))
+    sock = socket.create_connection(learner.address)
+    try:
+        write_frame(sock, WorkerHello("w0"))
+        assert isinstance(read_frame(sock), PolicySync)
+        write_frame(sock, ExperienceBatch("w0", 1, ragged))
+        sock.shutdown(socket.SHUT_WR)
+        with pytest.raises(ValueError):
+            learner.join(timeout=10.0)
+    finally:
+        sock.close()
+    assert learner.received_experiences == 4
+    assert learner.updates == 0
 
 
 def test_worker_runs_without_any_policy_sync():

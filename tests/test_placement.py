@@ -78,8 +78,7 @@ def test_generate_population_bounds():
     assert np.all((pop.velocity >= -1.0) & (pop.velocity <= 1.0))
     assert np.array_equal(pop.position, pop.assign.astype(float))
     assert np.array_equal(pop.pbest_assign, pop.assign)
-    ind = pop[3]
-    assert np.array_equal(ind.personal_best[0], ind.assignment)
+    assert np.array_equal(pop.pbest_assign[3], pop.assign[3])
 
 
 def test_roulette_analytic_probability():
@@ -303,6 +302,28 @@ def test_trace_shape_and_result_consistency():
     assert last.best_F == pytest.approx(res.objective_value)
     assert last.feasible == res.feasible
     assert res.fitness == pytest.approx(fitness(res.assignment, inst), rel=1e-9)
+
+
+@pytest.mark.parametrize("algorithm, size, operations, node_of, best_fitness", [
+    ("madcp", 21, None, (0, 2, 0, 2, 1, 2, 2, 0), -71.4041057692494),
+    ("ga", 21, None, (2, 2, 1, 2, 3, 0, 0, 2), -77.49873306388099),
+    ("madcp", 20, 3, (0, 2, 0, 2, 3, 2, 2, 0), -76.23237148085249),
+    ("ga", 20, 3, (0, 2, 0, 1, 0, 2, 2, 2), -90.12558454817977),
+    ("madcp", 20, 15, (0, 2, 0, 2, 3, 2, 2, 0), -76.23237148085249),
+    ("ga", 20, 15, (0, 2, 2, 1, 2, 1, 2, 0), -89.36559666641442),
+])
+def test_population_size_change_pinned(algorithm, size, operations, node_of,
+                                       best_fitness):
+    # 2 * operations != population_size, so the GA phase changes the
+    # population's size; the pinned results guard how swarm state follows
+    inst = random_instance(8, 4, rng=np.random.default_rng(5))
+    run, make = {"madcp": (madcp_run, PlacementParams.madcp),
+                 "ga": (ga_run, PlacementParams.ga)}[algorithm]
+    params = make(population_size=size, num_operations=operations, generations=10)
+    res = run(inst, params, rng=np.random.default_rng(9))
+    assert res.assignment.node_of == node_of
+    assert res.fitness == pytest.approx(best_fitness, rel=1e-12)
+    assert len(res.trace.rows) == 11
 
 
 def test_madcp_reaches_brute_force_on_easy_instance():
