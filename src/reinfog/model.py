@@ -8,8 +8,16 @@ seconds, power in watts, energy in joules.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+
+def require_finite(what: str, **values: float) -> None:
+    """Raise ValueError naming the first value that is NaN or infinite."""
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{what}: {name} must be finite, got {v}")
 
 
 @dataclass(frozen=True)
@@ -20,6 +28,10 @@ class Component:
     deadline: float     # seconds
     role: str = "worker"
 
+    def __post_init__(self) -> None:
+        require_finite(f"component {self.id}", compute_req=self.compute_req,
+                       mem_req=self.mem_req, deadline=self.deadline)
+
 
 @dataclass(frozen=True)
 class Node:
@@ -27,6 +39,10 @@ class Node:
     compute_cap: float  # mega-cycles per second
     mem_avail: float    # MB
     power_draw: float   # watts while executing
+
+    def __post_init__(self) -> None:
+        require_finite(f"node {self.id}", compute_cap=self.compute_cap,
+                       mem_avail=self.mem_avail, power_draw=self.power_draw)
 
 
 @dataclass(frozen=True)
@@ -39,6 +55,7 @@ class PlacementInstance:
     def __post_init__(self) -> None:
         if not self.components or not self.nodes:
             raise ValueError("instance needs at least one component and one node")
+        require_finite("weights", omega1=self.omega1, omega2=self.omega2)
         if self.omega1 < 0 or self.omega2 < 0:
             raise ValueError("objective weights must be non-negative")
         for c in self.components:

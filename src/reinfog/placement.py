@@ -160,13 +160,21 @@ class _CostTables:
         return self.cost[self._rows[None, :], assign].sum(axis=1)
 
     def violation_many(self, assign: np.ndarray) -> np.ndarray:
-        onehot = assign[:, :, None] == np.arange(self.n)[None, None, :]
-        cycles = (onehot * self.demand_cycles[None, :, None]).sum(axis=1)
-        mem = (onehot * self.demand_mem[None, :, None]).sum(axis=1)
+        size = assign.shape[0]
+        bins = (np.arange(size)[:, None] * self.n + assign).ravel()
+        cycles = self._loads(bins, self.demand_cycles, size)
+        mem = self._loads(bins, self.demand_mem, size)
         over = np.maximum(0.0, cycles - self.cap_cycles).sum(axis=1)
         over += np.maximum(0.0, mem - self.cap_mem).sum(axis=1)
         over += self.deadline_over[self._rows[None, :], assign].sum(axis=1)
         return over
+
+    def _loads(self, bins: np.ndarray, demand: np.ndarray, size: int) -> np.ndarray:
+        """Per-(row, node) demand sums, added in component order like a one-hot sum."""
+        if self.n == 1:  # one-hot sum over a contiguous axis: numpy adds it pairwise
+            return np.full((size, 1), demand.sum())
+        return np.bincount(bins, np.tile(demand, size),
+                           size * self.n).reshape(size, self.n)
 
     def fitness_many(self, assign: np.ndarray, penalty_lambda: float) -> np.ndarray:
         return -(self.objective_many(assign) + penalty_lambda * self.violation_many(assign))
@@ -237,7 +245,8 @@ def mutate(assignment: np.ndarray, n_nodes: int, rate: float,
 
 def firefly_movement(pop: Population, inst: PlacementInstance, alpha: float,
                      beta: float, gamma: float, rng: np.random.Generator,
-                     penalty_lambda: float = DEFAULT_PENALTY) -> Population:
+                     penalty_lambda: float = DEFAULT_PENALTY,
+                     tables: _CostTables | None = None) -> Population:
     """Discrete firefly pass over the whole population.
 
     Brightness is the fitness of the population at phase entry; attractor
@@ -248,31 +257,45 @@ def firefly_movement(pop: Population, inst: PlacementInstance, alpha: float,
     between i's current assignment and the attractor. Afterwards every gene of
     every individual is resampled with probability alpha, and positions are
     re-synced to the moved assignments.
+
+    The pass works on a copy of the rows stably sorted by snapshot
+    brightness, so the movers of attractor j, the rows strictly dimmer than
+    it, are a prefix of that copy and are updated in place. Each attractor
+    with movers takes one (movers, genes) uniform draw whose rows follow
+    mover index order; `ranks` reorders them onto the prefix, so the random
+    stream is consumed exactly as a per-mover gather would. `tables` is
+    built from `inst` when not given.
     """
-    tables = _CostTables(inst)
+    if tables is None:
+        tables = _CostTables(inst)
     snapshot = pop.assign.copy()
     fit = tables.fitness_many(snapshot, penalty_lambda)
     assign = pop.assign
-    m = pop.genes
-    for j in range(pop.size):
-        movers = np.nonzero(fit < fit[j])[0]
-        if movers.size == 0:
+    size, m = assign.shape
+    order = np.argsort(fit, kind="stable")
+    counts = np.searchsorted(fit[order], fit, side="left")
+    counts[np.isnan(fit)] = 0  # NaN is dimmer than nothing and brighter than nothing
+    # ranks[k, s]: index-order rank of prefix row s among the first k rows
+    ranks = np.zeros((size + 1, size), dtype=np.intp)
+    np.cumsum(order[:, None] < order[None, :], axis=0, out=ranks[1:])
+    r = np.arange(m + 1) / m
+    move_p = beta * np.exp(-gamma * r * r)  # indexed by Hamming distance
+    work = assign[order]
+    for attractor, k in zip(snapshot, counts.tolist()):
+        if k == 0:
             continue
-        block = assign[movers]
-        diff = block != snapshot[j]
-        r = diff.sum(axis=1) / m
-        p = beta * np.exp(-gamma * r * r)
-        mask = diff & (rng.random(block.shape) < p[:, None])
-        if mask.any():
-            attractor = np.broadcast_to(snapshot[j], block.shape)
-            block[mask] = attractor[mask]
-            assign[movers] = block
+        head = work[:k]
+        p = move_p[(head != attractor).sum(axis=1)]
+        u = rng.random((k, m)).take(ranks[k, :k], axis=0)
+        # a gene already equal to the attractor's is unchanged either way
+        work[:k] = np.where(u < p[:, None], attractor, head)
+    assign[order] = work
     if alpha > 0.0:
         noise = rng.random(assign.shape) < alpha
         hits = int(noise.sum())
         if hits:
             assign[noise] = rng.integers(0, tables.n, hits)
-    pop.position[:] = assign.astype(float)
+    pop.position[:] = assign
     return pop
 
 
@@ -374,12 +397,16 @@ def _run_engine(inst: PlacementInstance, params: PlacementParams,
     gbest_fitness = float(fit[best_idx])
 
     trace = RunTrace()
+    described = best_F = best_feasible = None
 
     def record(gen: int, elapsed_ms: float) -> None:
-        a = Assignment(tuple(int(v) for v in gbest_assign))
-        f_val = objective(a, inst)
-        trace.rows.append(TraceRow(gen, gbest_fitness, f_val,
-                                   check_constraints(a, inst).feasible, elapsed_ms))
+        nonlocal described, best_F, best_feasible
+        if described is not gbest_assign:  # a new incumbent is a new array
+            described = gbest_assign
+            a = Assignment(tuple(int(v) for v in gbest_assign))
+            best_F = objective(a, inst)
+            best_feasible = check_constraints(a, inst).feasible
+        trace.rows.append(TraceRow(gen, gbest_fitness, best_F, best_feasible, elapsed_ms))
 
     record(0, 0.0)
     for gen in range(1, params.generations + 1):
@@ -389,7 +416,7 @@ def _run_engine(inst: PlacementInstance, params: PlacementParams,
                                                   inst.num_nodes, rng))
         if fa_phase:
             firefly_movement(pop, inst, params.fa_alpha, params.fa_beta,
-                             params.fa_gamma, rng, lam)
+                             params.fa_gamma, rng, lam, tables=tables)
         if ga_phase and pso_phase:
             # Wholesale replacement created brand-new individuals: personal
             # bests are keyed to individuals, so each fresh one is its own
@@ -418,10 +445,8 @@ def _run_engine(inst: PlacementInstance, params: PlacementParams,
 
     final = Assignment(tuple(int(v) for v in gbest_assign))
     return PlacementResult(algorithm=algorithm, assignment=final,
-                           fitness=gbest_fitness,
-                           objective_value=objective(final, inst),
-                           feasible=check_constraints(final, inst).feasible,
-                           trace=trace)
+                           fitness=gbest_fitness, objective_value=best_F,
+                           feasible=best_feasible, trace=trace)
 
 
 def madcp_run(inst: PlacementInstance, params: PlacementParams | None = None,

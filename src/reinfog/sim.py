@@ -35,6 +35,7 @@ from .model import (
     Task,
     TaskRun,
     energy_consumption,
+    require_finite,
     response_time,
     topo_order,
     weighted_cost,
@@ -57,6 +58,7 @@ class LinkSpec:
     bandwidth_mbps: float  # MB per second
 
     def __post_init__(self) -> None:
+        require_finite("link", latency_s=self.latency_s, bandwidth_mbps=self.bandwidth_mbps)
         if self.latency_s < 0:
             raise ValueError("latency must be non-negative")
         if self.bandwidth_mbps <= 0:
@@ -223,6 +225,9 @@ def compute_reward(outcome: StepOutcome, spec: RewardSpec) -> float:
 
 
 def decode_action(raw: int, n: int) -> int:
+    """Check a policy's action: an int (or numpy integer) node index in [0, n)."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, np.integer)):
+        raise ValueError(f"action {raw!r} is not an integer node index")
     if not 0 <= raw < n:
         raise ValueError(f"invalid action {raw} for {n} nodes")
     return int(raw)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reinfog import cli
-from reinfog.model import AppDag
+from reinfog.model import AppDag, instance_to_json
 from reinfog.network import NetworkParams, load_policy, save_policy
 from reinfog.placement import brute_force_optimal, random_instance
 from reinfog.sim import baseline_greedy, generate_workload, make_reward_spec
@@ -153,6 +153,19 @@ def test_place_best_fitness_never_decreases(tmp_path):
         _, _, rows = read_csv(out / name)
         series = [float(r[1]) for r in rows]
         assert all(b >= a for a, b in zip(series, series[1:])), name
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_place_non_finite_instance_exits_2(tmp_path, capsys, literal):
+    doc = instance_to_json(random_instance(3, 2, np.random.default_rng(0)))
+    doc["components"][0]["compute_req"] = "@"
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(doc).replace('"@"', literal))
+    cfg = write_config(tmp_path / "c.json", {**FAST_PLACE, "place.instance": str(inst_path)})
+    rc = run_cli(["place", "--config", cfg, "--algorithms", "madcp",
+                  "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "compute_req must be finite" in capsys.readouterr().err
 
 
 # -- train -------------------------------------------------------------------

@@ -257,6 +257,27 @@ def test_instance_json_round_trip():
         instance_from_json({"components": [{}], "nodes": []})
 
 
+@pytest.mark.parametrize("path, literal", [
+    (("components", 0, "compute_req"), "NaN"),
+    (("components", 1, "deadline"), "Infinity"),
+    (("components", 2, "mem_req"), "-Infinity"),
+    (("nodes", 0, "compute_cap"), "Infinity"),
+    (("nodes", 1, "mem_avail"), "NaN"),
+    (("nodes", 0, "power_draw"), "NaN"),
+    (("weights", "omega1"), "NaN"),
+    (("weights", "omega2"), "Infinity"),
+])
+def test_instance_json_rejects_non_finite_numbers(path, literal):
+    doc = instance_to_json(small_instance())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = "@"
+    text = json.dumps(doc).replace('"@"', literal)
+    with pytest.raises(ValueError, match="must be finite"):
+        instance_from_json(json.loads(text))
+
+
 def test_dag_json_round_trip():
     dag = diamond_dag()
     doc = json.loads(json.dumps(dag_to_json(dag)))

@@ -354,3 +354,111 @@ def test_params_validation():
     assert PlacementParams.pso().population_size == 100
     assert PlacementParams.madcp().crossover_rate == 0.8
     assert PlacementParams(population_size=10).operations == 5
+
+
+def _firefly_reference(pop, tables, alpha, beta, gamma, rng, penalty_lambda=1000.0):
+    """The per-attractor gather/scatter loop that the prefix layout replaced."""
+    snapshot = pop.assign.copy()
+    fit = tables.fitness_many(snapshot, penalty_lambda)
+    assign = pop.assign
+    m = pop.genes
+    for j in range(pop.size):
+        movers = np.nonzero(fit < fit[j])[0]
+        if movers.size == 0:
+            continue
+        block = assign[movers]
+        diff = block != snapshot[j]
+        r = diff.sum(axis=1) / m
+        p = beta * np.exp(-gamma * r * r)
+        mask = diff & (rng.random(block.shape) < p[:, None])
+        if mask.any():
+            attractor = np.broadcast_to(snapshot[j], block.shape)
+            block[mask] = attractor[mask]
+            assign[movers] = block
+    if alpha > 0.0:
+        noise = rng.random(assign.shape) < alpha
+        hits = int(noise.sum())
+        if hits:
+            assign[noise] = rng.integers(0, tables.n, hits)
+    pop.position[:] = assign.astype(float)
+    return pop
+
+
+def tied_rows(rng, size, m, n):
+    """Random assignments where about a third of the rows repeat another row."""
+    assign = rng.integers(0, n, size=(size, m))
+    dups = rng.integers(0, size, size // 3)
+    assign[rng.integers(0, size, size // 3)] = assign[dups]
+    return assign
+
+
+def assert_firefly_matches_reference(assign, inst, tables, alpha, beta, gamma, seed):
+    ref = hand_population(assign.tolist())
+    got = hand_population(assign.tolist())
+    ref_rng = np.random.default_rng(seed)
+    got_rng = np.random.default_rng(seed)
+    _firefly_reference(ref, tables, alpha, beta, gamma, ref_rng)
+    firefly_movement(got, inst, alpha, beta, gamma, got_rng, tables=tables)
+    assert np.array_equal(got.assign, ref.assign)
+    assert got.position.tobytes() == ref.position.tobytes()
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("size", [2, 3, 50, 200])
+@pytest.mark.parametrize("m", [1, 30])
+def test_firefly_matches_reference_loop(size, m):
+    rng = np.random.default_rng([size, m])
+    n = 4
+    inst = random_instance(m, n, rng, slack=0.7)
+    tables = _CostTables(inst)
+    for beta, gamma, alpha in itertools.product((0.0, 0.8, 1.0), (0.0, 0.5), (0.0, 0.3)):
+        assign = tied_rows(rng, size, m, n)
+        assert_firefly_matches_reference(assign, inst, tables, alpha, beta, gamma,
+                                         seed=int(rng.integers(2 ** 32)))
+
+
+class _FixedFitness:
+    """Cost-table stand-in whose fitness is given, NaN and -inf included."""
+
+    def __init__(self, fit, n):
+        self.fit = np.asarray(fit, dtype=float)
+        self.n = n
+
+    def fitness_many(self, assign, penalty_lambda):
+        return self.fit.copy()
+
+
+def test_firefly_nan_and_infinite_brightness_match_reference():
+    inst = random_instance(6, 3, np.random.default_rng(1))
+    fit = [-5.0, np.nan, -np.inf, -5.0, -1.0, np.nan, -np.inf, -2.0, -0.0, 0.0]
+    assign = tied_rows(np.random.default_rng(2), len(fit), 6, 3)
+    for seed in range(5):
+        assert_firefly_matches_reference(assign, inst, _FixedFitness(fit, 3),
+                                         0.3, 1.0, 0.5, seed)
+
+
+def _violation_onehot(tables, assign):
+    onehot = assign[:, :, None] == np.arange(tables.n)[None, None, :]
+    cycles = (onehot * tables.demand_cycles[None, :, None]).sum(axis=1)
+    mem = (onehot * tables.demand_mem[None, :, None]).sum(axis=1)
+    over = np.maximum(0.0, cycles - tables.cap_cycles).sum(axis=1)
+    over += np.maximum(0.0, mem - tables.cap_mem).sum(axis=1)
+    over += tables.deadline_over[np.arange(tables.m)[None, :], assign].sum(axis=1)
+    return over
+
+
+def test_violation_many_matches_onehot_sum_bit_for_bit():
+    # one node loads every component on it: the one-hot sum then reduced a
+    # contiguous axis, which numpy sums pairwise for 8 or more terms
+    rng = np.random.default_rng(30)
+    violated = 0
+    for trial in range(60):
+        m = int(rng.integers(1, 60))
+        n = 1 if trial % 2 == 0 else int(rng.integers(2, 16))
+        inst = random_instance(m, n, rng, slack=float(rng.uniform(0.3, 0.99)))
+        tables = _CostTables(inst)
+        assign = rng.integers(0, n, size=(int(rng.integers(1, 120)), m))
+        got = tables.violation_many(assign)
+        assert got.tobytes() == _violation_onehot(tables, assign).tobytes()
+        violated += int((got > 0).any())
+    assert violated >= 50

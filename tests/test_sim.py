@@ -85,6 +85,21 @@ def test_cluster_json_round_trip(tmp_path):
         cluster_from_json({"nodes": [{"id": 0}]})
 
 
+@pytest.mark.parametrize("section, field, literal", [
+    ("nodes", "compute_cap", "NaN"),
+    ("nodes", "mem_avail", "Infinity"),
+    ("nodes", "power_draw", "-Infinity"),
+    ("links", "latency_s", "NaN"),
+    ("links", "bandwidth_mbps", "Infinity"),
+])
+def test_cluster_json_rejects_non_finite_numbers(section, field, literal):
+    doc = cluster_to_json(uniform_cluster(2))
+    doc[section][1][field] = "@"
+    text = json.dumps(doc).replace('"@"', literal)
+    with pytest.raises(ValueError, match="must be finite"):
+        cluster_from_json(json.loads(text))
+
+
 def test_chain_on_one_node_serial_finishes():
     cluster = two_node_cluster()
     dag = chain_dag([1000.0, 2000.0])
@@ -202,6 +217,17 @@ def test_decode_action_bounds():
         decode_action(3, 3)
     with pytest.raises(ValueError, match="invalid action"):
         decode_action(-1, 3)
+    assert decode_action(np.int64(1), 3) == 1
+    assert type(decode_action(np.intp(2), 3)) is int
+    for raw in (True, False, 1.0, 1.9, np.float64(0.0)):
+        with pytest.raises(ValueError, match="not an integer"):
+            decode_action(raw, 3)
+
+
+@pytest.mark.parametrize("policy", [lambda s: 1.9, lambda s: True])
+def test_run_episode_rejects_non_integer_actions(policy):
+    with pytest.raises(ValueError, match="not an integer"):
+        run_episode(uniform_cluster(3), generate_workload(1, 3, rng=0), policy)
 
 
 def test_reward_spec_validation():
