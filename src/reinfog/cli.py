@@ -33,7 +33,7 @@ from .distributed import (
     worker_loop,
 )
 from .dqn import DqnConfig
-from .model import AppDag, Node, dag_from_json, load_instance
+from .model import AppDag, Node, dag_from_json, load_instance, require_finite
 from .network import forward, load_policy, save_policy
 from .placement import (
     InstanceTooLarge,
@@ -208,6 +208,7 @@ def _load_workload(path: str) -> tuple[list[AppDag], dict[int, float] | None]:
         releases = doc.get("releases")
         if releases is not None:
             releases = {int(k): float(v) for k, v in releases.items()}
+            require_finite("releases", **{str(k): v for k, v in releases.items()})
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"workload {path} is malformed: {exc}") from exc
     return apps, releases

@@ -7,6 +7,7 @@ seconds, power in watts, energy in joules.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -185,61 +186,71 @@ class Task:
     predecessors: tuple[int, ...] = ()
     deadline: float | None = None   # optional absolute finish deadline, seconds
 
+    def __post_init__(self) -> None:
+        require_finite(f"task {self.id}", compute_req=self.compute_req,
+                       input_size=self.input_size, output_size=self.output_size)
+        if self.deadline is not None:
+            require_finite(f"task {self.id}", deadline=self.deadline)
+
 
 @dataclass(frozen=True)
 class AppDag:
+    """Tasks of one application plus their dependency index.
+
+    Construction validates the DAG and derives, once, the id->task map,
+    the successor tuples and the topological order. These derived fields
+    take no part in ==, hash or repr.
+    """
+
     id: int
     tasks: tuple[Task, ...]
+    _by_id: dict[int, Task] = field(init=False, repr=False, compare=False)
+    _succ: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.tasks:
             raise ValueError(f"app {self.id}: empty task list")
-        ids = [t.id for t in self.tasks]
-        if len(set(ids)) != len(ids):
+        by_id = {t.id: t for t in self.tasks}
+        if len(by_id) != len(self.tasks):
             raise ValueError(f"app {self.id}: duplicate task ids")
-        known = set(ids)
+        succ: dict[int, list[int]] = {tid: [] for tid in by_id}
         for t in self.tasks:
             for p in t.predecessors:
-                if p not in known:
+                if p not in by_id:
                     raise ValueError(f"app {self.id}: task {t.id} references unknown predecessor {p}")
                 if p == t.id:
                     raise ValueError(f"app {self.id}: task {t.id} depends on itself")
-        # topo_order raises on cycles
-        topo_order(self)
+                succ[p].append(t.id)
+        # Kahn, smallest task id first among ready tasks
+        indeg = {t.id: len(t.predecessors) for t in self.tasks}
+        ready = [tid for tid, d in indeg.items() if d == 0]
+        heapq.heapify(ready)
+        order: list[int] = []
+        while ready:
+            tid = heapq.heappop(ready)
+            order.append(tid)
+            for s in succ[tid]:
+                indeg[s] -= 1
+                if indeg[s] == 0:
+                    heapq.heappush(ready, s)
+        if len(order) != len(self.tasks):
+            raise ValueError(f"app {self.id}: dependency cycle")
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_succ", {tid: tuple(s) for tid, s in succ.items()})
+        object.__setattr__(self, "_order", tuple(order))
 
     def task(self, task_id: int) -> Task:
-        for t in self.tasks:
-            if t.id == task_id:
-                return t
-        raise KeyError(task_id)
+        return self._by_id[task_id]
 
-    def successors(self) -> dict[int, list[int]]:
-        succ: dict[int, list[int]] = {t.id: [] for t in self.tasks}
-        for t in self.tasks:
-            for p in t.predecessors:
-                succ[p].append(t.id)
-        return succ
+    def successors(self) -> dict[int, tuple[int, ...]]:
+        """Successor ids per task id, in task-list order; shared, do not mutate."""
+        return self._succ
 
 
 def topo_order(dag: AppDag) -> list[int]:
     """Kahn topological order, smallest task id first among ready tasks."""
-    import heapq
-
-    indeg = {t.id: len(t.predecessors) for t in dag.tasks}
-    succ = dag.successors()
-    ready = [tid for tid, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        tid = heapq.heappop(ready)
-        order.append(tid)
-        for s in succ[tid]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                heapq.heappush(ready, s)
-    if len(order) != len(dag.tasks):
-        raise ValueError(f"app {dag.id}: dependency cycle")
-    return order
+    return list(dag._order)
 
 
 @dataclass(frozen=True)
@@ -422,17 +433,3 @@ def dag_from_json(doc: dict) -> AppDag:
 def load_instance(path: str) -> PlacementInstance:
     with open(path, encoding="utf-8") as fh:
         return instance_from_json(json.load(fh))
-
-
-def load_workload(path: str) -> list[AppDag]:
-    """Workload file: JSON array of DAG documents (or one document)."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if isinstance(doc, dict):
-        doc = [doc]
-    return [dag_from_json(d) for d in doc]
-
-
-def save_workload(path: str, dags: Sequence[AppDag]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([dag_to_json(d) for d in dags], fh, indent=1)

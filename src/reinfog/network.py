@@ -215,6 +215,8 @@ def policy_from_doc(doc: dict) -> tuple[NetworkParams, dict]:
         params = NetworkParams(sizes, weights, biases, str(doc["activation"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise PolicyFormatError(f"malformed policy document: {exc}") from exc
+    if not all(np.isfinite(a).all() for a in params.weights + params.biases):
+        raise PolicyFormatError("policy weights and biases must be finite")
     return params, dict(doc.get("metadata", {}))
 
 

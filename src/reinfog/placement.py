@@ -50,7 +50,6 @@ class PlacementParams:
     pso_c1: float = 2.0
     pso_c2: float = 2.0
     penalty_lambda: float = DEFAULT_PENALTY
-    rng_seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
@@ -386,7 +385,7 @@ def _ga_offspring(assign: np.ndarray, fit: np.ndarray, params: PlacementParams,
 def _run_engine(inst: PlacementInstance, params: PlacementParams,
                 rng: np.random.Generator | int | None, algorithm: str,
                 ga_phase: bool, fa_phase: bool, pso_phase: bool) -> PlacementResult:
-    rng = _as_rng(params.rng_seed if rng is None else rng)
+    rng = _as_rng(rng)
     tables = _CostTables(inst)
     lam = params.penalty_lambda
     pop = generate_population(inst, params, rng)

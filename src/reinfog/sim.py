@@ -1,7 +1,12 @@
 """Scheduling environment: cluster model, state encoding, rewards, and a
 discrete-event simulator for DAG workloads on heterogeneous nodes.
 
-Two execution semantics live here and agree on single-path workloads:
+Two execution semantics live here and agree on single-path workloads.
+Both share one timing rule, `_data_ready`: a source's input leaves the
+origin at its app's release, and any other task's inputs are on a node
+once every predecessor has finished and its output has crossed the link.
+Both run a task through one rule too, `_run_on`: duration, energy and the
+deadline check.
 
 * `simulate_workload` replays a full mapping offline. Each node runs one
   task at a time, picking waiting tasks in ready-time order (ties broken by
@@ -224,6 +229,48 @@ def compute_reward(outcome: StepOutcome, spec: RewardSpec) -> float:
     return -_incremental_cost(outcome, spec)
 
 
+def _release_times(workload: Sequence[AppDag],
+                   releases: Mapping[int, float] | None) -> dict[int, float]:
+    """Release per app id, 0.0 where none is given; every one must be finite."""
+    rel = {dag.id: 0.0 for dag in workload}
+    if releases:
+        rel.update(releases)
+        require_finite("releases", **{str(k): v for k, v in rel.items()})
+    return rel
+
+
+def _data_ready(cluster: ClusterSpec, app: AppDag, task: Task, node: int,
+                runs: Mapping[int, TaskRun], release: float,
+                origin: int) -> tuple[float, float]:
+    """(time the task's inputs are on `node`, time its dependencies were met).
+
+    Sources: the release plus the transfer from `origin`, and the release.
+    Other tasks: the latest predecessor finish plus the transfer of its
+    output to `node`, and the latest predecessor finish; neither is earlier
+    than the release. Raises ValueError when a predecessor has no run.
+    """
+    if not task.predecessors:
+        return release + cluster.transfer_time(origin, node, task.input_size), release
+    missing = [p for p in task.predecessors if p not in runs]
+    if missing:
+        raise ValueError(f"app {app.id} task {task.id}: predecessors "
+                         f"{missing} not scheduled yet")
+    preds = [runs[p] for p in task.predecessors]
+    arrivals = [run.finish_s + cluster.transfer_time(run.node, node,
+                                                     app.task(p).output_size)
+                for p, run in zip(task.predecessors, preds)]
+    return (max(release, max(arrivals)),
+            max(release, max(run.finish_s for run in preds)))
+
+
+def _run_on(nd: Node, task: Task, start: float) -> tuple[float, float, bool]:
+    """(finish, energy, deadline met) of `task` started on node `nd` at `start`."""
+    duration = task.compute_req / nd.compute_cap
+    finish = start + duration
+    in_time = task.deadline is None or finish <= task.deadline + _EPS
+    return finish, nd.power_draw * duration, in_time
+
+
 def decode_action(raw: int, n: int) -> int:
     """Check a policy's action: an int (or numpy integer) node index in [0, n)."""
     if isinstance(raw, bool) or not isinstance(raw, (int, np.integer)):
@@ -247,11 +294,8 @@ class IncrementalSim:
         self.cluster = cluster
         self.workload = tuple(workload)
         self.origin = origin
-        self.releases = {dag.id: 0.0 for dag in workload}
-        if releases:
-            self.releases.update(releases)
+        self.releases = _release_times(workload, releases)
         self.norms = NormConstants.from_workload(cluster, workload)
-        self._dags = {dag.id: dag for dag in self.workload}
         n = cluster.n
         self.node_free = [0.0] * n
         self.committed_mem = [0.0] * n
@@ -259,48 +303,21 @@ class IncrementalSim:
         # (finish_s, compute_req) per node, for the pending-work feature
         self._queued: list[list[tuple[float, float]]] = [[] for _ in range(n)]
 
-    def _pred_runs(self, app: AppDag, task: Task) -> list[TaskRun]:
-        done = self.runs[app.id]
-        missing = [p for p in task.predecessors if p not in done]
-        if missing:
-            raise ValueError(f"app {app.id} task {task.id}: predecessors "
-                             f"{missing} not scheduled yet")
-        return [done[p] for p in task.predecessors]
-
     def dependencies_met_at(self, app: AppDag, task: Task) -> float:
         """Release for sources, else the latest predecessor finish."""
-        preds = self._pred_runs(app, task)
-        release = self.releases[app.id]
-        if not preds:
-            return release
-        return max(release, max(r.finish_s for r in preds))
-
-    def _ready_on(self, app: AppDag, task: Task, node: int) -> float:
-        release = self.releases[app.id]
-        preds = self._pred_runs(app, task)
-        if not preds:
-            return release + self.cluster.transfer_time(self.origin, node,
-                                                        task.input_size)
-        arrivals = [
-            run.finish_s + self.cluster.transfer_time(run.node, node,
-                                                      pred.output_size)
-            for run, pred in zip(preds,
-                                 (app.task(p) for p in task.predecessors))
-        ]
-        return max(release, max(arrivals))
+        # the second time does not depend on the node passed
+        return _data_ready(self.cluster, app, task, 0, self.runs[app.id],
+                           self.releases[app.id], self.origin)[1]
 
     def _outcome(self, app: AppDag, task: Task, node: int) -> StepOutcome:
         nd = self.cluster.nodes[node]
-        ready = self._ready_on(app, task, node)
+        ready, met = _data_ready(self.cluster, app, task, node, self.runs[app.id],
+                                 self.releases[app.id], self.origin)
         start = max(self.node_free[node], ready)
-        duration = task.compute_req / nd.compute_cap
-        finish = start + duration
-        energy = nd.power_draw * duration
+        finish, energy, in_time = _run_on(nd, task, start)
         footprint = task.input_size + task.output_size
         fits = self.committed_mem[node] + footprint <= nd.mem_avail + _EPS
-        in_time = task.deadline is None or finish <= task.deadline + _EPS
-        rt = finish - self.dependencies_met_at(app, task)
-        return StepOutcome(node, start, finish, energy, rt, fits and in_time)
+        return StepOutcome(node, start, finish, energy, finish - met, fits and in_time)
 
     def peek(self, app: AppDag, task: Task, node: int) -> StepOutcome:
         return self._outcome(app, task, node)
@@ -366,17 +383,8 @@ def check_schedule(cluster: ClusterSpec, dags: Sequence[AppDag],
             raise ValueError(f"app {dag.id}: schedule does not cover all tasks")
         for task in dag.tasks:
             run = cfg.entries[task.id]
-            if task.predecessors:
-                ready = max(
-                    cfg.entries[p].finish_s
-                    + cluster.transfer_time(cfg.entries[p].node, run.node,
-                                            dag.task(p).output_size)
-                    for p in task.predecessors
-                )
-                ready = max(ready, cfg.release_s)
-            else:
-                ready = cfg.release_s + cluster.transfer_time(
-                    origin, run.node, task.input_size)
+            ready, _ = _data_ready(cluster, dag, task, run.node, cfg.entries,
+                                   cfg.release_s, origin)
             if run.start_s < ready - _EPS:
                 raise ValueError(
                     f"app {dag.id} task {task.id} starts at {run.start_s} "
@@ -393,11 +401,7 @@ def check_schedule(cluster: ClusterSpec, dags: Sequence[AppDag],
 def _decision_order(workload: Sequence[AppDag],
                     releases: Mapping[int, float]) -> list[tuple[AppDag, Task]]:
     apps = sorted(workload, key=lambda dag: (releases.get(dag.id, 0.0), dag.id))
-    order: list[tuple[AppDag, Task]] = []
-    for dag in apps:
-        for tid in topo_order(dag):
-            order.append((dag, dag.task(tid)))
-    return order
+    return [(dag, dag.task(tid)) for dag in apps for tid in topo_order(dag)]
 
 
 def simulate_workload(cluster: ClusterSpec, dags: Sequence[AppDag],
@@ -410,9 +414,7 @@ def simulate_workload(cluster: ClusterSpec, dags: Sequence[AppDag],
     task id). Memory reservations are applied in decision order so the
     failure flags match what an incremental run would have produced.
     """
-    rel = {dag.id: 0.0 for dag in dags}
-    if releases:
-        rel.update(releases)
+    rel = _release_times(dags, releases)
     for dag in dags:
         for task in dag.tasks:
             if task.id not in choices.get(dag.id, {}):
@@ -431,7 +433,6 @@ def simulate_workload(cluster: ClusterSpec, dags: Sequence[AppDag],
     indeg = {(d.id, t.id): len(t.predecessors) for d in dags for t in d.tasks}
     succ = {d.id: d.successors() for d in dags}
     runs: dict[int, dict[int, TaskRun]] = {d.id: {} for d in dags}
-    ready_at: dict[tuple[int, int], float] = {}
     waiting: list[list[tuple[float, int, int]]] = [[] for _ in range(cluster.n)]
     node_free = [0.0] * cluster.n
     running: list[tuple[float, int, int, int]] = []  # finish, app, task, node
@@ -439,18 +440,8 @@ def simulate_workload(cluster: ClusterSpec, dags: Sequence[AppDag],
 
     def mark_ready(dag: AppDag, task: Task) -> None:
         node = choices[dag.id][task.id]
-        if task.predecessors:
-            ready = max(
-                runs[dag.id][p].finish_s
-                + cluster.transfer_time(runs[dag.id][p].node, node,
-                                        dag.task(p).output_size)
-                for p in task.predecessors
-            )
-            ready = max(ready, rel[dag.id])
-        else:
-            ready = rel[dag.id] + cluster.transfer_time(origin, node,
-                                                        task.input_size)
-        ready_at[(dag.id, task.id)] = ready
+        ready, _ = _data_ready(cluster, dag, task, node, runs[dag.id],
+                               rel[dag.id], origin)
         heapq.heappush(waiting[node], (ready, dag.id, task.id))
         heapq.heappush(times, ready)
 
@@ -481,14 +472,10 @@ def simulate_workload(cluster: ClusterSpec, dags: Sequence[AppDag],
                 ready, app_id, task_id = heapq.heappop(waiting[node])
                 dag = dag_by_id[app_id]
                 task = dag.task(task_id)
-                nd = cluster.nodes[node]
                 start = max(node_free[node], ready)
-                duration = task.compute_req / nd.compute_cap
-                finish = start + duration
-                ok = mem_ok[(app_id, task_id)] and (
-                    task.deadline is None or finish <= task.deadline + _EPS)
-                runs[app_id][task_id] = TaskRun(node, start, finish,
-                                                nd.power_draw * duration, ok)
+                finish, energy, in_time = _run_on(cluster.nodes[node], task, start)
+                runs[app_id][task_id] = TaskRun(
+                    node, start, finish, energy, mem_ok[(app_id, task_id)] and in_time)
                 node_free[node] = finish
                 heapq.heappush(running, (finish, app_id, task_id, node))
                 heapq.heappush(times, finish)

@@ -284,6 +284,36 @@ def test_simulate_rejects_mismatched_policy_shape(tmp_path):
     assert rc == 1
 
 
+def test_simulate_rejects_non_finite_policy(tmp_path, capsys):
+    net = NetworkParams.glorot((13, 8, 3), "relu", np.random.default_rng(0))
+    net.weights[1][0, 0] = np.inf
+    path = tmp_path / "inf.json"
+    save_policy(net, path)
+    rc = run_cli(["simulate", "--policy", str(path), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, literal", [
+    ("compute_req", "NaN"), ("output_size", "Infinity"), ("release", "NaN")])
+def test_simulate_non_finite_workload_exits_1(tmp_path, capsys, field, literal):
+    doc = {"apps": [{"id": 0, "tasks": [
+        {"id": 0, "compute_req": 100.0, "input_size": 1.0, "output_size": 1.0},
+        {"id": 1, "compute_req": 100.0, "input_size": 1.0, "output_size": 1.0,
+         "predecessors": [0]}]}], "releases": {"0": 0.5}}
+    if field == "release":
+        doc["releases"]["0"] = "@"
+    else:
+        doc["apps"][0]["tasks"][0][field] = "@"
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc).replace('"@"', literal))
+    cfg = write_config(tmp_path / "c.json", {"sim.workload": str(path)})
+    rc = run_cli(["simulate", "--config", cfg, "--baseline", "greedy",
+                  "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_simulate_rejects_policy_and_baseline_together(tmp_path):
     rc = run_cli(["simulate", "--policy", "p.json", "--baseline", "greedy",
                   "--out", str(tmp_path)])

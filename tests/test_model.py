@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -284,3 +285,49 @@ def test_dag_json_round_trip():
     assert dag_from_json(doc) == dag
     with_deadline = AppDag(3, (Task(0, 1.0, 0.5, 0.25, deadline=9.5),))
     assert dag_from_json(json.loads(json.dumps(dag_to_json(with_deadline)))) == with_deadline
+
+
+@pytest.mark.parametrize("field, literal", [
+    ("compute_req", "NaN"),
+    ("input_size", "Infinity"),
+    ("output_size", "-Infinity"),
+    ("deadline", "NaN"),
+    ("deadline", "Infinity"),
+])
+def test_dag_json_rejects_non_finite_task_fields(field, literal):
+    doc = dag_to_json(AppDag(0, (Task(0, 1.0, 0.5, 0.25, deadline=9.5),)))
+    doc["tasks"][0][field] = "@"
+    text = json.dumps(doc).replace('"@"', literal)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        dag_from_json(json.loads(text))
+
+
+def test_app_dag_index_matches_fresh_derivation():
+    tasks = (Task(5, 1.0, 0.0, 0.0, predecessors=(3, 1)),
+             Task(3, 1.0, 0.0, 0.0, predecessors=(0,)),
+             Task(4, 1.0, 0.0, 0.0),
+             Task(0, 1.0, 0.0, 0.0),
+             Task(1, 1.0, 0.0, 0.0, predecessors=(4, 0)),
+             Task(2, 1.0, 0.0, 0.0, predecessors=(5,)))
+    dag = AppDag(7, tasks)
+    for t in tasks:
+        assert dag.task(t.id) is t
+    with pytest.raises(KeyError):
+        dag.task(6)
+    succ = dag.successors()
+    assert succ == {t.id: tuple(s.id for s in tasks if t.id in s.predecessors)
+                    for t in tasks}
+    assert list(succ) == [t.id for t in tasks]
+    assert all(type(v) is tuple for v in succ.values())
+    # Kahn by hand, smallest ready id first
+    done: list[int] = []
+    while len(done) < len(tasks):
+        done.append(min(t.id for t in tasks if t.id not in done
+                        and all(p in done for p in t.predecessors)))
+    assert topo_order(dag) == done == [0, 3, 4, 1, 5, 2]
+    # the index takes no part in equality, hashing, repr or pickling
+    twin = AppDag(7, tasks)
+    assert twin == dag and hash(twin) == hash(dag)
+    assert repr(dag) == f"AppDag(id=7, tasks={tasks!r})"
+    back = pickle.loads(pickle.dumps(dag))
+    assert back == dag and back.successors() == succ

@@ -191,3 +191,14 @@ def test_policy_version_and_corruption_errors(tmp_path):
 def test_make_optimizer_rejects_unknown():
     with pytest.raises(ValueError):
         make_optimizer("rmsprop", 0.1)
+
+
+@pytest.mark.parametrize("where, value", [
+    ("weights", np.inf), ("weights", -np.inf), ("biases", np.nan)])
+def test_policy_with_non_finite_values_rejected(tmp_path, where, value):
+    net = NetworkParams.glorot((3, 4, 2), rng=0)
+    getattr(net, where)[1][0] = value
+    path = tmp_path / "p.json"
+    save_policy(net, str(path))
+    with pytest.raises(PolicyFormatError, match="must be finite"):
+        load_policy(str(path))

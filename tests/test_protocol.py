@@ -150,3 +150,11 @@ def test_read_frame_raises_on_mid_frame_close():
             read_frame(server)
     finally:
         server.close()
+
+
+def test_policy_sync_with_non_finite_weight_is_malformed():
+    net = NetworkParams.glorot((3, 4, 2), rng=0)
+    net.weights[0][2, 1] = np.nan
+    frame = encode_frame(PolicySync(4, net))
+    with pytest.raises(MalformedFrame, match="must be finite"):
+        decode_frame(frame)

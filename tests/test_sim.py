@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -487,3 +489,98 @@ def test_poisson_releases():
     assert rel == poisson_releases(workload, rate=0.5, rng=8)
     with pytest.raises(ValueError):
         poisson_releases(workload, rate=0.0)
+
+
+# --- outputs pinned bit for bit ---------------------------------------------
+# sha256 of repr() of every schedule, reward, transition and offline replay on
+# four generated cases. repr() of a float round-trips exactly, so any change in
+# the timing rule, the task physics or the decision order changes a digest.
+
+def _pinned_cluster(rng: np.random.Generator, n: int, mem: float) -> ClusterSpec:
+    nodes = tuple(Node(i, float(rng.uniform(500.0, 2000.0)),
+                       float(rng.uniform(0.5, 1.5)) * mem,
+                       float(rng.uniform(20.0, 80.0))) for i in range(n))
+    endpoints = list(range(n)) + [USER]
+    links = {(s, d): LinkSpec(float(rng.uniform(0.001, 0.05)),
+                              float(rng.uniform(20.0, 200.0)))
+             for s in endpoints for d in endpoints if s != d}
+    return ClusterSpec(nodes, links)
+
+
+def _pinned_case(seed: int, n: int, apps: int, tasks: int, density: float,
+                 mem: float, rate: float | None, deadlines: bool,
+                 shuffle: bool, origin: int) -> str:
+    rng = np.random.default_rng(seed)
+    cluster = _pinned_cluster(rng, n, mem)
+    workload = generate_workload(apps, tasks, rng=rng, density=density)
+    if deadlines:
+        workload = [AppDag(dag.id, tuple(
+            replace(t, deadline=float(rng.uniform(0.2, 2.0))) if t.id % 2 else t
+            for t in dag.tasks)) for dag in workload]
+    if shuffle:
+        workload = [AppDag(dag.id, tuple(dag.tasks[i] for i in
+                                         rng.permutation(len(dag.tasks))))
+                    for dag in workload]
+    releases = poisson_releases(workload, rate, rng=rng) if rate else None
+    weights = rng.standard_normal((n, 3 * n + 4))
+
+    def policy(state: np.ndarray) -> int:
+        return int(np.argmax(weights @ state))
+
+    spec = make_reward_spec(cluster, workload, releases=releases, origin=origin)
+    greedy = baseline_greedy(cluster, workload, spec, releases, origin)
+    rr = baseline_round_robin(cluster, workload, spec, releases, origin)
+    episode = run_episode(cluster, workload, policy, spec, releases, origin)
+    unscaled = run_episode(cluster, workload, policy, None, releases, origin)
+    choices = {dag.id: {t.id: int(rng.integers(n)) for t in dag.tasks}
+               for dag in workload}
+    offline = simulate_workload(cluster, workload, choices, releases, origin)
+    out = repr((spec, greedy, rr, episode, unscaled, offline))
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case, digest", [
+    (dict(seed=0, n=3, apps=2, tasks=8, density=0.0, mem=1024.0, rate=None,
+          deadlines=False, shuffle=False, origin=USER),
+     "f8fa7b6fb62448dc40346603f58d31839cac1663656041769d393732283e49f8"),
+    (dict(seed=1, n=4, apps=3, tasks=12, density=0.5, mem=120.0, rate=2.0,
+          deadlines=True, shuffle=False, origin=USER),
+     "82e7d9a93efb0f0f10f7a87e1665e9aead6810941232e20c5f77feab390e96d1"),
+    (dict(seed=2, n=5, apps=2, tasks=10, density=1.0, mem=60.0, rate=0.5,
+          deadlines=False, shuffle=True, origin=USER),
+     "cfbe7923d42995f3b35b7958ee8ec4d84b680fae84b4f65f02a608f83bf95303"),
+    (dict(seed=3, n=4, apps=3, tasks=9, density=0.5, mem=200.0, rate=1.0,
+          deadlines=True, shuffle=True, origin=1),
+     "0dc0d30b9c7186f340d6e638ca01217d7ee46c5743e71368af9f90286a9252cb"),
+])
+def test_simulator_outputs_pinned(case, digest):
+    assert _pinned_case(**case) == digest
+
+
+def test_unscheduled_predecessor_is_rejected():
+    cluster = uniform_cluster(2)
+    dag = chain_dag([100.0, 200.0, 300.0])
+    sim = IncrementalSim(cluster, [dag])
+    sim.commit(dag, dag.task(0), 0)
+    before = (list(sim.node_free), list(sim.committed_mem))
+    for call in (lambda: sim.peek(dag, dag.task(2), 1),
+                 lambda: sim.commit(dag, dag.task(2), 1),
+                 lambda: encode_state(cluster, sim, dag, dag.task(2))):
+        with pytest.raises(ValueError, match=r"predecessors \[1\] not scheduled"):
+            call()
+    assert set(sim.runs[dag.id]) == {0}
+    assert (sim.node_free, sim.committed_mem) == before
+    with pytest.raises(ValueError, match="already scheduled"):
+        sim.commit(dag, dag.task(0), 1)
+
+
+@pytest.mark.parametrize("release", [float("nan"), float("inf")])
+def test_non_finite_release_is_rejected(release):
+    cluster = uniform_cluster(2)
+    workload = generate_workload(2, 4, rng=0)
+    releases = {0: 0.5, 1: release}
+    with pytest.raises(ValueError, match="releases: 1 must be finite"):
+        run_episode(cluster, workload, lambda s: 0, releases=releases)
+    choices = {dag.id: {t.id: 0 for t in dag.tasks} for dag in workload}
+    with pytest.raises(ValueError, match="releases: 1 must be finite"):
+        simulate_workload(cluster, workload, choices, releases)
