@@ -187,8 +187,12 @@ class Task:
     deadline: float | None = None   # optional absolute finish deadline, seconds
 
     def __post_init__(self) -> None:
-        require_finite(f"task {self.id}", compute_req=self.compute_req,
-                       input_size=self.input_size, output_size=self.output_size)
+        sizes = {"compute_req": self.compute_req, "input_size": self.input_size,
+                 "output_size": self.output_size}
+        require_finite(f"task {self.id}", **sizes)
+        for name, v in sizes.items():
+            if v < 0:
+                raise ValueError(f"task {self.id}: {name} must be non-negative, got {v}")
         if self.deadline is not None:
             require_finite(f"task {self.id}", deadline=self.deadline)
 

@@ -8,6 +8,15 @@ once every predecessor has finished and its output has crossed the link.
 Both run a task through one rule too, `_run_on`: duration, energy and the
 deadline check.
 
+`ClusterSpec` builds its link and node tables once: latency and bandwidth
+by (source endpoint, destination node), with a free diagonal, and
+capacity, memory and power by node. `IncrementalSim.peek` is the array
+form of `_data_ready` and `_run_on` over those tables: one numpy pass over
+predecessors x nodes answers what committing the task would do on every
+node, and each entry equals the scalar result bit for bit. The greedy
+baseline prices that sweep with `_incremental_cost`, built on the same
+`_metric_cost` as the rewards.
+
 * `simulate_workload` replays a full mapping offline. Each node runs one
   task at a time, picking waiting tasks in ready-time order (ties broken by
   app id then task id).
@@ -28,7 +37,8 @@ import heapq
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -72,10 +82,25 @@ class LinkSpec:
 
 @dataclass(frozen=True)
 class ClusterSpec:
-    """Nodes plus a full link table over ordered node pairs and user pairs."""
+    """Nodes plus a full link table over ordered node pairs and user pairs.
+
+    Construction checks the links and builds, once, read-only arrays for
+    `IncrementalSim.peek`: `_latency` and `_bandwidth` are (n+1)×n, one
+    row per source endpoint with the user last (so `_latency[USER]` is the
+    user's row) and one column per destination node. The diagonal holds
+    latency 0.0 and bandwidth inf, so `latency + size / bandwidth` is
+    exactly 0.0 between co-located tasks, as `transfer_time` returns.
+    `_capacity`, `_memory` and `_power` are per node. None of these arrays
+    takes part in ==, hash or repr.
+    """
 
     nodes: tuple[Node, ...]
     links: Mapping[tuple[int, int], LinkSpec]
+    _latency: np.ndarray = field(init=False, repr=False, compare=False)
+    _bandwidth: np.ndarray = field(init=False, repr=False, compare=False)
+    _capacity: np.ndarray = field(init=False, repr=False, compare=False)
+    _memory: np.ndarray = field(init=False, repr=False, compare=False)
+    _power: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.nodes:
@@ -87,10 +112,34 @@ class ClusterSpec:
             if nd.compute_cap <= 0 or nd.mem_avail < 0 or nd.power_draw < 0:
                 raise ValueError(f"node {nd.id}: bad capacity parameters")
         endpoints = ids + [USER]
+        known = set(endpoints)
+        for src, dst in self.links:
+            if src == dst:
+                raise ValueError(f"self-link ({src}, {dst}): a co-located "
+                                 "transfer is free and takes no link")
+            if src not in known or dst not in known:
+                raise ValueError(f"link ({src}, {dst}) has an unknown endpoint: "
+                                 f"nodes are 0..{len(ids) - 1}, the user is {USER}")
+        n = len(ids)
+        latency = np.zeros((n + 1, n))
+        bandwidth = np.full((n + 1, n), np.inf)
         for src in endpoints:
             for dst in endpoints:
-                if src != dst and (src, dst) not in self.links:
+                if src == dst:
+                    continue
+                link = self.links.get((src, dst))
+                if link is None:
                     raise ValueError(f"missing link ({src}, {dst})")
+                if dst != USER:
+                    latency[src, dst] = link.latency_s
+                    bandwidth[src, dst] = link.bandwidth_mbps
+        tables = {"_latency": latency, "_bandwidth": bandwidth,
+                  "_capacity": np.array([nd.compute_cap for nd in self.nodes]),
+                  "_memory": np.array([nd.mem_avail for nd in self.nodes]),
+                  "_power": np.array([nd.power_draw for nd in self.nodes])}
+        for name, table in tables.items():
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     @property
     def n(self) -> int:
@@ -130,12 +179,19 @@ def cluster_to_json(cluster: ClusterSpec) -> dict:
     }
 
 
+def _json_id(value: object, what: str) -> int:
+    """A JSON integer; a float such as 1.7 is refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def cluster_from_json(doc: dict) -> ClusterSpec:
     try:
-        nodes = tuple(Node(int(nd["id"]), float(nd["compute_cap"]),
+        nodes = tuple(Node(_json_id(nd["id"], "node id"), float(nd["compute_cap"]),
                            float(nd["mem_avail"]), float(nd["power_draw"]))
                       for nd in doc["nodes"])
-        links = {(int(lk["src"]), int(lk["dst"])):
+        links = {(_json_id(lk["src"], "link src"), _json_id(lk["dst"], "link dst")):
                  LinkSpec(float(lk["latency_s"]), float(lk["bandwidth_mbps"]))
                  for lk in doc["links"]}
     except (KeyError, TypeError) as exc:
@@ -179,7 +235,11 @@ class NormConstants:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """What one placement decision did to the schedule."""
+    """What one placement decision did to the schedule.
+
+    `IncrementalSim.peek` returns one whose fields are arrays with an entry
+    per node: what committing the task to each node would do.
+    """
 
     node: int
     start_s: float
@@ -207,26 +267,32 @@ class RewardSpec:
             raise ValueError("failure_penalty must be negative")
 
 
-def _incremental_cost(out: StepOutcome, spec: RewardSpec) -> float:
-    """Normalized metric, surcharged by |failure_penalty| on failure."""
+def _metric_cost(out: StepOutcome, spec: RewardSpec):
+    """The reward metric of an outcome, normalized by the spec's baselines.
+
+    Elementwise, so it prices one outcome or `peek`'s sweep over every node.
+    """
     rt = out.rt_s / spec.baseline_rt
     ec = out.energy_j / spec.baseline_ec
     if spec.metric == "response_time":
-        cost = rt
-    elif spec.metric == "energy":
-        cost = ec
-    else:
-        cost = spec.w1 * rt + spec.w2 * ec
-    if not out.success:
-        cost += abs(spec.failure_penalty)
-    return cost
+        return rt
+    if spec.metric == "energy":
+        return ec
+    return spec.w1 * rt + spec.w2 * ec
+
+
+def _incremental_cost(out: StepOutcome, spec: RewardSpec) -> np.ndarray:
+    """Metric cost, surcharged by |failure_penalty| where the placement fails."""
+    cost = _metric_cost(out, spec)
+    # np.where, not cost + flag * penalty: that would turn a -0.0 cost into 0.0
+    return np.where(out.success, cost, cost + abs(spec.failure_penalty))
 
 
 def compute_reward(outcome: StepOutcome, spec: RewardSpec) -> float:
     """Negative normalized metric on success, flat penalty on failure."""
     if not outcome.success:
         return spec.failure_penalty
-    return -_incremental_cost(outcome, spec)
+    return -_metric_cost(outcome, spec)
 
 
 def _release_times(workload: Sequence[AppDag],
@@ -239,36 +305,52 @@ def _release_times(workload: Sequence[AppDag],
     return rel
 
 
-def _data_ready(cluster: ClusterSpec, app: AppDag, task: Task, node: int,
-                runs: Mapping[int, TaskRun], release: float,
-                origin: int) -> tuple[float, float]:
-    """(time the task's inputs are on `node`, time its dependencies were met).
+def _dependencies_met(app: AppDag, task: Task, runs: Mapping[int, TaskRun],
+                      release: float) -> tuple[list[TaskRun], float]:
+    """(the predecessors' runs, the time the task's dependencies were met).
 
-    Sources: the release plus the transfer from `origin`, and the release.
-    Other tasks: the latest predecessor finish plus the transfer of its
-    output to `node`, and the latest predecessor finish; neither is earlier
-    than the release. Raises ValueError when a predecessor has no run.
+    That time is the release for a source, else the latest predecessor
+    finish but never earlier than the release. Raises ValueError when a
+    predecessor has no run.
     """
     if not task.predecessors:
-        return release + cluster.transfer_time(origin, node, task.input_size), release
+        return [], release
     missing = [p for p in task.predecessors if p not in runs]
     if missing:
         raise ValueError(f"app {app.id} task {task.id}: predecessors "
                          f"{missing} not scheduled yet")
     preds = [runs[p] for p in task.predecessors]
+    return preds, max(release, max(run.finish_s for run in preds))
+
+
+def _data_ready(cluster: ClusterSpec, app: AppDag, task: Task, node: int,
+                runs: Mapping[int, TaskRun], release: float,
+                origin: int) -> tuple[float, float]:
+    """(time the task's inputs are on `node`, time its dependencies were met).
+
+    Sources: the release plus the transfer from `origin`. Other tasks: the
+    latest predecessor finish plus the transfer of its output to `node`,
+    never earlier than the release.
+    """
+    preds, met = _dependencies_met(app, task, runs, release)
+    if not preds:
+        return release + cluster.transfer_time(origin, node, task.input_size), met
     arrivals = [run.finish_s + cluster.transfer_time(run.node, node,
                                                      app.task(p).output_size)
                 for p, run in zip(task.predecessors, preds)]
-    return (max(release, max(arrivals)),
-            max(release, max(run.finish_s for run in preds)))
+    return max(release, max(arrivals)), met
 
 
-def _run_on(nd: Node, task: Task, start: float) -> tuple[float, float, bool]:
-    """(finish, energy, deadline met) of `task` started on node `nd` at `start`."""
-    duration = task.compute_req / nd.compute_cap
+def _run_on(compute_cap, power_draw, task: Task, start):
+    """(finish, energy, deadline met) of `task` started at `start` on a node.
+
+    Elementwise: `IncrementalSim.peek` passes every node's capacity, power
+    and start time as arrays.
+    """
+    duration = task.compute_req / compute_cap
     finish = start + duration
     in_time = task.deadline is None or finish <= task.deadline + _EPS
-    return finish, nd.power_draw * duration, in_time
+    return finish, power_draw * duration, in_time
 
 
 def decode_action(raw: int, n: int) -> int:
@@ -284,13 +366,16 @@ class IncrementalSim:
     """Commit-order scheduler used while an agent is making decisions.
 
     Each commit appends the task to its node's queue: start time is
-    max(node free time, data-ready time). peek() answers what a commit
-    would do without changing anything.
+    max(node free time, data-ready time). peek() answers what a commit to
+    each node would do, without changing anything.
     """
 
     def __init__(self, cluster: ClusterSpec, workload: Sequence[AppDag],
                  releases: Mapping[int, float] | None = None,
                  origin: int = USER) -> None:
+        if origin != USER and not 0 <= origin < cluster.n:
+            # peek indexes the link tables by origin, where -2 would be a node's row
+            raise ValueError(f"origin {origin} is neither a node nor the user {USER}")
         self.cluster = cluster
         self.workload = tuple(workload)
         self.origin = origin
@@ -300,27 +385,52 @@ class IncrementalSim:
         self.node_free = [0.0] * n
         self.committed_mem = [0.0] * n
         self.runs: dict[int, dict[int, TaskRun]] = {dag.id: {} for dag in workload}
-        # (finish_s, compute_req) per node, for the pending-work feature
-        self._queued: list[list[tuple[float, float]]] = [[] for _ in range(n)]
+        # finish times and mega-cycles committed per node, in commit order,
+        # for the pending-work feature; a node's finish times never decrease
+        self._finish: list[list[float]] = [[] for _ in range(n)]
+        self._cycles: list[list[float]] = [[] for _ in range(n)]
 
     def dependencies_met_at(self, app: AppDag, task: Task) -> float:
         """Release for sources, else the latest predecessor finish."""
-        # the second time does not depend on the node passed
-        return _data_ready(self.cluster, app, task, 0, self.runs[app.id],
-                           self.releases[app.id], self.origin)[1]
+        return _dependencies_met(app, task, self.runs[app.id], self.releases[app.id])[1]
 
     def _outcome(self, app: AppDag, task: Task, node: int) -> StepOutcome:
         nd = self.cluster.nodes[node]
         ready, met = _data_ready(self.cluster, app, task, node, self.runs[app.id],
                                  self.releases[app.id], self.origin)
         start = max(self.node_free[node], ready)
-        finish, energy, in_time = _run_on(nd, task, start)
+        finish, energy, in_time = _run_on(nd.compute_cap, nd.power_draw, task, start)
         footprint = task.input_size + task.output_size
         fits = self.committed_mem[node] + footprint <= nd.mem_avail + _EPS
         return StepOutcome(node, start, finish, energy, finish - met, fits and in_time)
 
-    def peek(self, app: AppDag, task: Task, node: int) -> StepOutcome:
-        return self._outcome(app, task, node)
+    def peek(self, app: AppDag, task: Task) -> StepOutcome:
+        """What committing `task` would do on every node, as arrays by node.
+
+        The array form of `_data_ready` over the cluster's link tables,
+        then `_run_on` and the memory check elementwise. Each operation
+        keeps the scalar order, so entry j equals, bit for bit, what
+        `commit(app, task, j)` would return.
+        """
+        cl = self.cluster
+        release = self.releases[app.id]
+        preds, met = _dependencies_met(app, task, self.runs[app.id], release)
+        if preds:
+            src = [run.node for run in preds]
+            fin = np.array([run.finish_s for run in preds])
+            size = np.array([app.task(p).output_size for p in task.predecessors])
+            arrivals = fin[:, None] + (cl._latency.take(src, axis=0)
+                                       + size[:, None] / cl._bandwidth.take(src, axis=0))
+            ready = np.maximum(release, arrivals.max(axis=0))
+        else:
+            ready = release + (cl._latency[self.origin]
+                               + task.input_size / cl._bandwidth[self.origin])
+        start = np.maximum(np.array(self.node_free), ready)
+        finish, energy, in_time = _run_on(cl._capacity, cl._power, task, start)
+        footprint = task.input_size + task.output_size
+        fits = np.array(self.committed_mem) + footprint <= cl._memory + _EPS
+        return StepOutcome(np.arange(cl.n), start, finish, energy, finish - met,
+                           fits & in_time)
 
     def commit(self, app: AppDag, task: Task, node: int) -> StepOutcome:
         if task.id in self.runs[app.id]:
@@ -328,13 +438,20 @@ class IncrementalSim:
         out = self._outcome(app, task, node)
         self.node_free[node] = out.finish_s
         self.committed_mem[node] += task.input_size + task.output_size
-        self._queued[node].append((out.finish_s, task.compute_req))
+        self._finish[node].append(out.finish_s)
+        self._cycles[node].append(task.compute_req)
         self.runs[app.id][task.id] = TaskRun(node, out.start_s, out.finish_s,
                                              out.energy_j, out.success)
         return out
 
     def pending_cycles(self, node: int, now: float) -> float:
-        return sum(req for fin, req in self._queued[node] if fin > now)
+        """Mega-cycles committed to `node` that finish after `now`.
+
+        Those tasks are a suffix of the node's commits, found by bisection
+        and summed in commit order.
+        """
+        cycles = self._cycles[node]
+        return sum(cycles[bisect_right(self._finish[node], now):])
 
     def config_for(self, app: AppDag) -> ScheduleConfig:
         runs = self.runs[app.id]
@@ -473,7 +590,9 @@ def simulate_workload(cluster: ClusterSpec, dags: Sequence[AppDag],
                 dag = dag_by_id[app_id]
                 task = dag.task(task_id)
                 start = max(node_free[node], ready)
-                finish, energy, in_time = _run_on(cluster.nodes[node], task, start)
+                nd = cluster.nodes[node]
+                finish, energy, in_time = _run_on(nd.compute_cap, nd.power_draw,
+                                                  task, start)
                 runs[app_id][task_id] = TaskRun(
                     node, start, finish, energy, mem_ok[(app_id, task_id)] and in_time)
                 node_free[node] = finish
@@ -584,9 +703,7 @@ def baseline_greedy(cluster: ClusterSpec, workload: Sequence[AppDag],
                                            releases=releases, origin=origin)
 
     def choose(sim: IncrementalSim, app: AppDag, task: Task) -> int:
-        costs = [_incremental_cost(sim.peek(app, task, node), spec)
-                 for node in range(cluster.n)]
-        return int(np.argmin(costs))
+        return int(np.argmin(_incremental_cost(sim.peek(app, task), spec)))
 
     return _drive(cluster, workload, choose, spec, releases, origin)
 

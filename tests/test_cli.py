@@ -9,7 +9,7 @@ from reinfog import cli
 from reinfog.model import AppDag, instance_to_json
 from reinfog.network import NetworkParams, load_policy, save_policy
 from reinfog.placement import brute_force_optimal, random_instance
-from reinfog.sim import baseline_greedy, generate_workload, make_reward_spec
+from reinfog.sim import baseline_greedy, cluster_to_json, generate_workload, make_reward_spec
 
 
 def run_cli(argv: list[str]) -> int:
@@ -312,6 +312,34 @@ def test_simulate_non_finite_workload_exits_1(tmp_path, capsys, field, literal):
                   "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "must be finite" in capsys.readouterr().err
+
+
+def test_simulate_negative_task_size_exits_1(tmp_path, capsys):
+    doc = {"apps": [{"id": 0, "tasks": [
+        {"id": 0, "compute_req": -100.0, "input_size": 1.0, "output_size": 1.0}]}]}
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path / "c.json", {"sim.workload": str(path)})
+    rc = run_cli(["simulate", "--config", cfg, "--baseline", "greedy",
+                  "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "is malformed" in err and "compute_req must be non-negative" in err
+
+
+@pytest.mark.parametrize("src, dst, why", [
+    (0, 0, "self-link"), (9, 1, "unknown endpoint"), (1.7, 0, "must be an integer")])
+def test_simulate_bad_cluster_link_exits_2(tmp_path, capsys, src, dst, why):
+    doc = cluster_to_json(cli._default_cluster())
+    doc["links"].append({"src": src, "dst": dst, "latency_s": 0.01,
+                         "bandwidth_mbps": 100.0})
+    path = tmp_path / "cluster.json"
+    path.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path / "c.json", {**FAST_TRAIN, "sim.cluster": str(path)})
+    rc = run_cli(["simulate", "--config", cfg, "--baseline", "greedy",
+                  "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert why in capsys.readouterr().err
 
 
 def test_simulate_rejects_policy_and_baseline_together(tmp_path):

@@ -302,6 +302,19 @@ def test_dag_json_rejects_non_finite_task_fields(field, literal):
         dag_from_json(json.loads(text))
 
 
+@pytest.mark.parametrize("field", ["compute_req", "input_size", "output_size"])
+def test_negative_task_sizes_rejected(field):
+    sizes = {"compute_req": 1.0, "input_size": 0.5, "output_size": 0.25, field: -1.0}
+    with pytest.raises(ValueError, match=f"task 0: {field} must be non-negative"):
+        Task(0, **sizes)
+    doc = dag_to_json(AppDag(0, (Task(0, 1.0, 0.5, 0.25),)))
+    doc["tasks"][0][field] = -100.0
+    with pytest.raises(ValueError, match=f"{field} must be non-negative"):
+        dag_from_json(doc)
+    zero = {**sizes, field: 0.0}
+    assert getattr(Task(0, **zero), field) == 0.0
+
+
 def test_app_dag_index_matches_fresh_derivation():
     tasks = (Task(5, 1.0, 0.0, 0.0, predecessors=(3, 1)),
              Task(3, 1.0, 0.0, 0.0, predecessors=(0,)),

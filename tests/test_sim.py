@@ -21,6 +21,8 @@ from reinfog.sim import (
     LinkSpec,
     RewardSpec,
     StepOutcome,
+    _decision_order,
+    _incremental_cost,
     baseline_greedy,
     baseline_round_robin,
     check_schedule,
@@ -68,6 +70,21 @@ def test_cluster_validation():
         ClusterSpec((Node(1, 1.0, 1.0, 1.0),), {})
 
 
+@pytest.mark.parametrize("extra, message", [
+    ((0, 0), "self-link"), ((USER, USER), "self-link"),
+    ((9, 1), "unknown endpoint"), ((1, -2), "unknown endpoint")])
+def test_cluster_rejects_self_and_unknown_links(extra, message):
+    cluster = two_node_cluster()
+    links = {**cluster.links, extra: LinkSpec(0.1, 10.0)}
+    with pytest.raises(ValueError, match=message):
+        ClusterSpec(cluster.nodes, links)
+    doc = cluster_to_json(cluster)
+    doc["links"].append({"src": extra[0], "dst": extra[1], "latency_s": 0.1,
+                         "bandwidth_mbps": 10.0})
+    with pytest.raises(ValueError, match=message):
+        cluster_from_json(doc)
+
+
 def test_transfer_time():
     cluster = two_node_cluster(lat=0.1, bw=10.0)
     assert cluster.transfer_time(0, 0, 50.0) == 0.0
@@ -85,6 +102,9 @@ def test_cluster_json_round_trip(tmp_path):
     assert load_cluster(str(path)) == cluster
     with pytest.raises(ValueError, match="malformed"):
         cluster_from_json({"nodes": [{"id": 0}]})
+    doc["links"][0]["src"] = 0.7  # int() would truncate it to node 0
+    with pytest.raises(ValueError, match="link src must be an integer"):
+        cluster_from_json(doc)
 
 
 @pytest.mark.parametrize("section, field, literal", [
@@ -381,15 +401,94 @@ def test_greedy_choices_match_stepwise_argmin():
     workload = generate_workload(2, 4, rng=9, density=0.5)
     spec = make_reward_spec(cluster, workload)
     res = baseline_greedy(cluster, workload, spec)
-    # replay the same decisions against fresh peeks
-    from reinfog.sim import _decision_order, _incremental_cost
+    # replay the same decisions, pricing each node through the scalar rule
     sim = IncrementalSim(cluster, workload)
     for app, task in _decision_order(workload, sim.releases):
-        costs = [_incremental_cost(sim.peek(app, task, node), spec)
+        costs = [_incremental_cost(sim._outcome(app, task, node), spec)
                  for node in range(cluster.n)]
         chosen = res.configs[app.id].entries[task.id].node
         assert chosen == int(np.argmin(costs))
         sim.commit(app, task, chosen)
+
+
+def test_greedy_ties_go_to_the_lowest_node_id():
+    cluster = uniform_cluster(4)
+    twins = AppDag(0, (Task(0, 500.0, 2.0, 1.0), Task(1, 500.0, 2.0, 1.0)))
+    spec = RewardSpec(baseline_rt=1.0, baseline_ec=100.0)
+    sim = IncrementalSim(cluster, [twins])
+    first = [_incremental_cost(sim._outcome(twins, twins.task(0), j), spec)
+             for j in range(4)]
+    assert len(set(map(float, first))) == 1  # all four nodes tie
+    sim.commit(twins, twins.task(0), 0)
+    second = [float(_incremental_cost(sim._outcome(twins, twins.task(1), j), spec))
+              for j in range(4)]
+    assert second[0] > second[1] == second[2] == second[3]
+    res = baseline_greedy(cluster, [twins], spec)
+    assert [res.configs[0].entries[t].node for t in (0, 1)] == [0, 1]
+
+
+def _sweep_case(seed: int):
+    """A heterogeneous cluster, deadlines, tight memory and a random origin."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    nodes = tuple(Node(i, float(rng.uniform(200.0, 2000.0)),
+                       float(rng.uniform(10.0, 60.0)), float(rng.uniform(10.0, 150.0)))
+                  for i in range(n))
+    endpoints = list(range(n)) + [USER]
+    links = {(s, d): LinkSpec(float(rng.uniform(0.0, 0.05)), float(rng.uniform(5.0, 300.0)))
+             for s in endpoints for d in endpoints if s != d}
+    workload = generate_workload(int(rng.integers(1, 4)), int(rng.integers(1, 12)),
+                                 rng=rng, density=float(rng.uniform(0.0, 1.0)))
+    workload = [AppDag(dag.id, tuple(
+        replace(t, deadline=float(rng.uniform(0.1, 3.0))) if rng.random() < 0.4 else t
+        for t in dag.tasks)) for dag in workload]
+    releases = poisson_releases(workload, 1.0, rng=rng) if rng.random() < 0.7 else None
+    origin = int(rng.integers(-1, n))
+    return rng, ClusterSpec(nodes, links), workload, releases, origin
+
+
+def test_peek_sweep_equals_scalar_outcome_bit_for_bit():
+    seen = set()
+    for seed in range(12):
+        rng, cluster, workload, releases, origin = _sweep_case(seed)
+        sim = IncrementalSim(cluster, workload, releases, origin)
+        seen.add("node origin" if origin != USER else "user origin")
+        for app, task in _decision_order(workload, sim.releases):
+            sweep = sim.peek(app, task)
+            for j in range(cluster.n):
+                out = sim._outcome(app, task, j)
+                got = (int(sweep.node[j]), float(sweep.start_s[j]),
+                       float(sweep.finish_s[j]), float(sweep.energy_j[j]),
+                       float(sweep.rt_s[j]), bool(sweep.success[j]))
+                # repr tells -0.0 from 0.0 and round-trips every other float
+                assert repr(got) == repr(tuple(vars(out).values())), (seed, task.id, j)
+            seen.add(min(len(task.predecessors), 2))
+            seen.add("deadline" if task.deadline is not None else "no deadline")
+            seen.update(map(bool, sweep.success))
+            sim.commit(app, task, int(rng.integers(cluster.n)))
+    assert seen == {0, 1, 2, True, False, "deadline", "no deadline",
+                    "node origin", "user origin"}
+
+
+def test_pending_cycles_bisection_equals_filter_sum_when_now_falls():
+    rng = np.random.default_rng(4)
+    cluster = _pinned_cluster(rng, 5, 400.0)
+    workload = generate_workload(3, 20, rng=rng, density=0.5)
+    releases = poisson_releases(workload, 0.5, rng=rng)
+    sim = IncrementalSim(cluster, workload, releases)
+    committed: list[list[tuple[float, float]]] = [[] for _ in range(cluster.n)]
+    previous, falls = -np.inf, 0
+    for app, task in _decision_order(workload, sim.releases):
+        now = sim.dependencies_met_at(app, task)
+        falls += now < previous
+        previous = now
+        for i in range(cluster.n):
+            expected = sum(req for fin, req in committed[i] if fin > now)
+            assert repr(sim.pending_cycles(i, now)) == repr(expected)
+        node = int(rng.integers(cluster.n))
+        out = sim.commit(app, task, node)
+        committed[node].append((out.finish_s, task.compute_req))
+    assert falls > 0
 
 
 def test_brute_force_bound_on_small_workload():
@@ -563,7 +662,7 @@ def test_unscheduled_predecessor_is_rejected():
     sim = IncrementalSim(cluster, [dag])
     sim.commit(dag, dag.task(0), 0)
     before = (list(sim.node_free), list(sim.committed_mem))
-    for call in (lambda: sim.peek(dag, dag.task(2), 1),
+    for call in (lambda: sim.peek(dag, dag.task(2)),
                  lambda: sim.commit(dag, dag.task(2), 1),
                  lambda: encode_state(cluster, sim, dag, dag.task(2))):
         with pytest.raises(ValueError, match=r"predecessors \[1\] not scheduled"):
@@ -572,6 +671,12 @@ def test_unscheduled_predecessor_is_rejected():
     assert (sim.node_free, sim.committed_mem) == before
     with pytest.raises(ValueError, match="already scheduled"):
         sim.commit(dag, dag.task(0), 1)
+
+
+@pytest.mark.parametrize("origin", [-2, 2])
+def test_unknown_origin_is_rejected(origin):
+    with pytest.raises(ValueError, match=f"origin {origin} is neither"):
+        IncrementalSim(uniform_cluster(2), [chain_dag([100.0])], origin=origin)
 
 
 @pytest.mark.parametrize("release", [float("nan"), float("inf")])
