@@ -4,10 +4,11 @@ Topology and rules:
 
 * Workers run episodes locally and stream Experience batches; the learner
   is the only thread that touches network parameters.
-* Session threads never train. They validate ordering and push batches to
-  one queue; a single trainer thread consumes arrivals in queue order, so
-  given a recorded arrival order and a fixed seed the learner's parameter
-  trajectory is reproducible bit for bit (see replay_arrivals).
+* Session threads never train. They validate ordering and content (see
+  _batch_fault) and push batches to one queue; a single trainer thread
+  consumes arrivals in queue order, so given a recorded arrival order and a
+  fixed seed the learner's parameter trajectory is reproducible bit for bit
+  (see replay_arrivals).
 * Per batch arrival the learner performs at most ONE gradient update
   (once the buffer holds a full batch), so update counts depend only on
   the arrival sizes, not on timing or experience content.
@@ -96,6 +97,25 @@ def _take_batches(pending: list[Experience], size: int,
         yield batch
 
 
+def _batch_fault(experiences: tuple[Experience, ...], state_dim: int,
+                 n_actions: int) -> str | None:
+    """Why a received batch is unfit to train on, naming the first bad
+    experience by its index; None when every experience is fit. Lengths and
+    actions are checked per experience, finiteness in one array pass."""
+    for i, exp in enumerate(experiences):
+        if len(exp.state) != state_dim or len(exp.next_state) != state_dim:
+            return (f"experience {i}: state lengths {len(exp.state)} and "
+                    f"{len(exp.next_state)}, expected {state_dim}")
+        if type(exp.action) is not int or not 0 <= exp.action < n_actions:
+            return f"experience {i}: action {exp.action!r} not an int in [0, {n_actions})"
+    finite = np.isfinite([(exp.reward, *exp.state, *exp.next_state)
+                          for exp in experiences])
+    if finite.all():
+        return None
+    i = int(np.argmin(finite.all(axis=1)))
+    return f"experience {i}: non-finite {'reward' if not finite[i, 0] else 'state'}"
+
+
 class _TrainerCore:
     """Buffer-and-update cadence shared by the live learner and replays."""
 
@@ -170,6 +190,7 @@ class Learner:
         rng = np.random.default_rng(seed)
         self.agent = DqnAgent(state_dim, n_actions, self.cfg, rng=rng,
                               initial=initial)
+        self._dims = (state_dim, n_actions)
         self._core = _TrainerCore(self.agent, rng)
         self._host, self._port = host, port
         self._max_updates = max_updates
@@ -304,6 +325,11 @@ class Learner:
                     session.send(Shutdown(
                         f"out-of-order batch {msg.seq} after "
                         f"{session.state.last_seq}"))
+                    break
+                fault = _batch_fault(msg.experiences, *self._dims)
+                if fault is not None:
+                    session.send(Shutdown(
+                        f"worker {msg.worker_id} batch {msg.seq} {fault}"))
                     break
                 session.state.last_seq = msg.seq
                 with self._lock:

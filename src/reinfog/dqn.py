@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .explore import eps_greedy, epsilon_at
+from .explore import eps_greedy_lazy, epsilon_at
 from .network import (
     NetworkParams,
     dqn_update,
@@ -71,9 +71,11 @@ class DqnAgent:
                           self.cfg.eps_decay_steps)
 
     def act(self, state: np.ndarray, rng: np.random.Generator | None = None) -> int:
-        """Epsilon-greedy decision; advances the decay schedule."""
+        """Epsilon-greedy decision; advances the decay schedule. The forward
+        pass runs only when the decision exploits."""
         gen = rng if rng is not None else self.rng
-        action = eps_greedy(forward(self.online, state), self.epsilon, gen)
+        action = eps_greedy_lazy(lambda: forward(self.online, state),
+                                 self.online.layer_sizes[-1], self.epsilon, gen)
         self.decisions += 1
         return action
 

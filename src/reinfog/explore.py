@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -19,9 +20,16 @@ def epsilon_at(step: int, start: float = 1.0, end: float = 0.05,
 
 def eps_greedy(q_values: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
     """Random action with probability epsilon, else argmax (ties: lowest index)."""
+    return eps_greedy_lazy(lambda: q_values, len(q_values), epsilon, rng)
+
+
+def eps_greedy_lazy(q_of: Callable[[], np.ndarray], n_actions: int, epsilon: float,
+                    rng: np.random.Generator) -> int:
+    """eps_greedy over n_actions that calls q_of() for the Q-values only when
+    it exploits. The uniform is drawn first either way, so the draws match."""
     if rng.random() < epsilon:
-        return int(rng.integers(0, len(q_values)))
-    return int(np.argmax(q_values))
+        return int(rng.integers(0, n_actions))
+    return int(np.argmax(q_of()))
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,17 @@ class NetworkParams:
     """Fully connected net; weights[l] has shape (layer_sizes[l], layer_sizes[l+1]).
 
     Hidden layers apply the configured activation, the output layer is linear.
+    All parameters live in one contiguous float64 buffer `flat`, laid out
+    [W0, b0, W1, b1, ...]; `weights` and `biases` are tuples of views into
+    it, so writing through a view writes `flat` and copying is one memcpy.
+    The constructor copies the given arrays into a fresh buffer.
     """
 
     layer_sizes: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
     activation: str = "relu"
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.layer_sizes) < 2:
@@ -41,6 +46,23 @@ class NetworkParams:
             expect = (self.layer_sizes[l], self.layer_sizes[l + 1])
             if w.shape != expect or b.shape != (expect[1],):
                 raise ValueError(f"layer {l}: bad parameter shape {w.shape}")
+        self._bind(_pack(self.weights, self.biases))
+
+    def _bind(self, flat: np.ndarray) -> "NetworkParams":
+        self.flat = flat
+        self.weights, self.biases = _layer_views(self.layer_sizes, flat)
+        return self
+
+    @classmethod
+    def _on(cls, layer_sizes: tuple[int, ...], flat: np.ndarray,
+            activation: str) -> "NetworkParams":
+        """Parameters whose buffer is `flat` itself, not a copy of it."""
+        params = cls.__new__(cls)
+        params.layer_sizes, params.activation = layer_sizes, activation
+        return params._bind(flat)
+
+    def __reduce__(self):  # unpickling rebinds the views into the new `flat`
+        return (NetworkParams._on, (self.layer_sizes, self.flat, self.activation))
 
     @classmethod
     def glorot(cls, layer_sizes: Sequence[int], activation: str = "relu",
@@ -56,10 +78,41 @@ class NetworkParams:
         return cls(sizes, weights, biases, activation)
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(self.layer_sizes,
-                             [w.copy() for w in self.weights],
-                             [b.copy() for b in self.biases],
-                             self.activation)
+        return NetworkParams._on(self.layer_sizes, self.flat.copy(), self.activation)
+
+
+class _LayerViews(tuple):
+    """Per-layer views of the buffer `flat`; a tuple, so none can be rebound."""
+
+    flat: np.ndarray
+
+
+def _layer_views(sizes: tuple[int, ...], flat: np.ndarray):
+    """(weight views, bias views) of `flat` in the [W0, b0, W1, b1, ...] layout."""
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        mid = start + fan_in * fan_out
+        weights.append(flat[start:mid].reshape(fan_in, fan_out))
+        biases.append(flat[mid:mid + fan_out])
+        start = mid + fan_out
+    if start != flat.size:
+        raise ValueError(f"buffer of {flat.size} values for {start} parameters")
+    weights, biases = _LayerViews(weights), _LayerViews(biases)
+    weights.flat = biases.flat = flat
+    return weights, biases
+
+
+def _pack(weights, biases) -> np.ndarray:
+    """Per-layer arrays copied into one new buffer in the flat layout."""
+    return np.concatenate([np.ravel(a) for pair in zip(weights, biases) for a in pair],
+                          dtype=float)
+
+
+def _flat_grads(grads_w, grads_b) -> np.ndarray:
+    """The buffer dqn_loss_grads wrote, or a packed copy of other gradients."""
+    flat = getattr(grads_w, "flat", None)
+    return flat if flat is not None and getattr(grads_b, "flat", None) is flat \
+        else _pack(grads_w, grads_b)
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -102,7 +155,8 @@ def dqn_loss_grads(params: NetworkParams, states: np.ndarray, actions: np.ndarra
 
     Returns:
         (loss, weight gradients, bias gradients); gradients match parameter
-        shapes layer by layer.
+        shapes layer by layer and are views of one new buffer in the layout
+        of `params.flat`, which the optimizers step with directly.
     """
     acts, pres = _forward_trace(params, states)
     q_all = acts[-1]
@@ -112,11 +166,10 @@ def dqn_loss_grads(params: NetworkParams, states: np.ndarray, actions: np.ndarra
     loss = float(np.mean(err * err))
     delta = np.zeros_like(q_all)
     delta[rows, actions] = 2.0 * err / batch
-    grads_w = [np.empty(0)] * len(params.weights)
-    grads_b = [np.empty(0)] * len(params.biases)
+    grads_w, grads_b = _layer_views(params.layer_sizes, np.empty_like(params.flat))
     for l in range(len(params.weights) - 1, -1, -1):
-        grads_w[l] = acts[l].T @ delta
-        grads_b[l] = delta.sum(axis=0)
+        np.matmul(acts[l].T, delta, out=grads_w[l])
+        np.sum(delta, axis=0, out=grads_b[l])
         if l > 0:
             delta = (delta @ params.weights[l].T) * _activate_grad(
                 pres[l - 1], params.activation)
@@ -128,12 +181,13 @@ class SgdOptimizer:
         self.learning_rate = learning_rate
 
     def step(self, params: NetworkParams, grads_w, grads_b) -> None:
-        for w, b, gw, gb in zip(params.weights, params.biases, grads_w, grads_b):
-            w -= self.learning_rate * gw
-            b -= self.learning_rate * gb
+        params.flat -= self.learning_rate * _flat_grads(grads_w, grads_b)
 
 
 class AdamOptimizer:
+    """Adam over the whole flat parameter buffer; every operation is
+    elementwise, so one pass gives the same bits as one pass per tensor."""
+
     def __init__(self, learning_rate: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8) -> None:
         self.learning_rate = learning_rate
@@ -141,23 +195,24 @@ class AdamOptimizer:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m: list[np.ndarray] | None = None
-        self._v: list[np.ndarray] | None = None
+        self._m: np.ndarray | None = None
+        self._v: np.ndarray | None = None
 
     def step(self, params: NetworkParams, grads_w, grads_b) -> None:
-        grads = list(grads_w) + list(grads_b)
-        tensors = list(params.weights) + list(params.biases)
+        g = _flat_grads(grads_w, grads_b)
         if self._m is None:
-            self._m = [np.zeros_like(t) for t in tensors]
-            self._v = [np.zeros_like(t) for t in tensors]
+            self._m = np.zeros_like(params.flat)
+            self._v = np.zeros_like(params.flat)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, (tensor, g) in enumerate(zip(tensors, grads)):
-            self._m[i] = b1 * self._m[i] + (1 - b1) * g
-            self._v[i] = b2 * self._v[i] + (1 - b2) * g * g
-            m_hat = self._m[i] / (1 - b1 ** self.t)
-            v_hat = self._v[i] / (1 - b2 ** self.t)
-            tensor -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self._m, self._v
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        m_hat = m / (1 - b1 ** self.t)
+        v_hat = v / (1 - b2 ** self.t)
+        params.flat -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def make_optimizer(kind: str, learning_rate: float):
@@ -182,7 +237,7 @@ def dqn_update(params: NetworkParams, states: np.ndarray, actions: np.ndarray,
 
 
 def sync_target(online: NetworkParams) -> NetworkParams:
-    """Deep copy of the online parameters for use as a frozen target."""
+    """Copy of the online parameters (one memcpy) for use as a frozen target."""
     return online.copy()
 
 

@@ -73,8 +73,10 @@ def _experience_to_doc(exp: Experience) -> dict:
 
 
 def _experience_from_doc(doc: dict) -> Experience:
+    # the action is kept as sent (int() would truncate 1.9 to 1), so the
+    # learner can reject a non-integer action
     return Experience(state=tuple(float(v) for v in doc["state"]),
-                      action=int(doc["action"]),
+                      action=doc["action"],
                       reward=float(doc["reward"]),
                       next_state=tuple(float(v) for v in doc["next_state"]),
                       done=bool(doc["done"]))

@@ -191,9 +191,12 @@ def cluster_from_json(doc: dict) -> ClusterSpec:
         nodes = tuple(Node(_json_id(nd["id"], "node id"), float(nd["compute_cap"]),
                            float(nd["mem_avail"]), float(nd["power_draw"]))
                       for nd in doc["nodes"])
-        links = {(_json_id(lk["src"], "link src"), _json_id(lk["dst"], "link dst")):
-                 LinkSpec(float(lk["latency_s"]), float(lk["bandwidth_mbps"]))
-                 for lk in doc["links"]}
+        links = {}
+        for lk in doc["links"]:
+            pair = (_json_id(lk["src"], "link src"), _json_id(lk["dst"], "link dst"))
+            if pair in links:
+                raise ValueError(f"duplicate link {pair}")
+            links[pair] = LinkSpec(float(lk["latency_s"]), float(lk["bandwidth_mbps"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed cluster document: {exc}") from exc
     return ClusterSpec(nodes, links)

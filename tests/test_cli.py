@@ -328,7 +328,8 @@ def test_simulate_negative_task_size_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("src, dst, why", [
-    (0, 0, "self-link"), (9, 1, "unknown endpoint"), (1.7, 0, "must be an integer")])
+    (0, 0, "self-link"), (9, 1, "unknown endpoint"), (1.7, 0, "must be an integer"),
+    (0, 1, "duplicate link (0, 1)")])
 def test_simulate_bad_cluster_link_exits_2(tmp_path, capsys, src, dst, why):
     doc = cluster_to_json(cli._default_cluster())
     doc["links"].append({"src": src, "dst": dst, "latency_s": 0.01,

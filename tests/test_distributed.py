@@ -1,6 +1,8 @@
+import hashlib
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from reinfog.distributed import (
     _connect_with_retry,
 )
 from reinfog.dqn import DqnConfig
+from reinfog.model import Node
 from reinfog.network import NetworkParams, policy_to_doc
 from reinfog.protocol import (
     ExperienceBatch,
@@ -28,7 +31,14 @@ from reinfog.protocol import (
     write_frame,
 )
 from reinfog.replay import Experience
-from reinfog.sim import make_reward_spec, generate_workload, uniform_cluster
+from reinfog.sim import (
+    USER,
+    ClusterSpec,
+    LinkSpec,
+    generate_workload,
+    make_reward_spec,
+    uniform_cluster,
+)
 
 CLUSTER = uniform_cluster(2, latency_s=0.0)
 WORKLOAD = generate_workload(1, 4, rng=0, density=0.5)
@@ -216,13 +226,16 @@ def test_idle_learner_stops_promptly():
 def test_trainer_crash_is_raised_from_join():
     cfg = DqnConfig(hidden_sizes=(8,), batch_size=4, buffer_capacity=64)
     learner = small_learner(cfg=cfg, expected_workers=1)
-    ragged = tuple(Experience((0.0,) * dim, 0, -1.0, (0.0,) * dim, False)
-                   for dim in (2, 3, 2, 3))
+
+    def crash(batch):
+        raise ValueError("trainer crashed")
+
+    learner.agent.train_step = crash
     sock = socket.create_connection(learner.address)
     try:
         write_frame(sock, WorkerHello("w0"))
         assert isinstance(read_frame(sock), PolicySync)
-        write_frame(sock, ExperienceBatch("w0", 1, ragged))
+        write_frame(sock, exp_batch("w0", 1, k=4))
         sock.shutdown(socket.SHUT_WR)
         with pytest.raises(ValueError):
             learner.join(timeout=10.0)
@@ -230,6 +243,46 @@ def test_trainer_crash_is_raised_from_join():
         sock.close()
     assert learner.received_experiences == 4
     assert learner.updates == 0
+
+
+GOOD = Experience((0.5,) * STATE_DIM, 1, -1.0, (0.25,) * STATE_DIM, False)
+
+
+@pytest.mark.parametrize("bad, why", [
+    (replace(GOOD, state=(0.0,) * (STATE_DIM - 1)), "state lengths"),
+    (replace(GOOD, next_state=(0.0,) * (STATE_DIM + 1)), "state lengths"),
+    (replace(GOOD, action=CLUSTER.n), "action 2 not an int"),
+    (replace(GOOD, action=-1), "action -1 not an int"),
+    (replace(GOOD, action=1.0), "action 1.0 not an int"),
+    (replace(GOOD, action=True), "action True not an int"),
+    (replace(GOOD, reward=float("nan")), "non-finite reward"),
+    (replace(GOOD, reward=float("inf")), "non-finite reward"),
+    (replace(GOOD, state=(float("nan"),) + GOOD.state[1:]), "non-finite state"),
+    (replace(GOOD, next_state=GOOD.next_state[:-1] + (-float("inf"),)),
+     "non-finite state"),
+])
+def test_unfit_experience_drops_the_session(bad, why):
+    # one valid batch of batch_size trains; the next batch holds one unfit
+    # experience at index 1, and nothing of that batch is taken in
+    valid = tuple(replace(GOOD, reward=float(-i)) for i in range(SMALL_CFG.batch_size))
+    learner = small_learner(expected_workers=1)
+    sock = socket.create_connection(learner.address, timeout=10.0)
+    try:
+        write_frame(sock, WorkerHello("w0"))
+        assert isinstance(read_frame(sock), PolicySync)
+        write_frame(sock, ExperienceBatch("w0", 1, valid))
+        write_frame(sock, ExperienceBatch("w0", 2, (GOOD, bad, GOOD)))
+        while not isinstance(msg := read_frame(sock), Shutdown):
+            assert msg is not None
+        assert read_frame(sock) is None  # the learner dropped the session
+    finally:
+        sock.close()
+    assert learner.join(timeout=10.0)
+    assert msg.reason.startswith("worker w0 batch 2 experience 1: ")
+    assert why in msg.reason
+    assert learner.received_experiences == len(valid)
+    assert learner.arrival_log == [("w0", 1, valid)]
+    assert learner.updates == 1
 
 
 def test_worker_runs_without_any_policy_sync():
@@ -290,3 +343,34 @@ def test_centralized_trace_and_update_count_matches_one_worker():
     run_worker(learner.address, "w0", episodes=4)
     assert learner.join(timeout=20.0)
     assert central.updates == learner.updates
+
+
+def test_centralized_trajectory_pinned():
+    # sha256 of the final weights and the trace on the criterion-06 set-up,
+    # 20 episodes; written against the per-tensor parameter layout, so a
+    # change in numerics or in the order of RNG draws shows here
+    nodes = (Node(0, 2000.0, 2048.0, 20.0), Node(1, 1000.0, 1024.0, 60.0),
+             Node(2, 400.0, 512.0, 140.0))
+    ids = [0, 1, 2, USER]
+    cluster = ClusterSpec(nodes, {(a, b): LinkSpec(0.01, 100.0)
+                                  for a in ids for b in ids if a != b})
+    workload = generate_workload(20, 5, rng=np.random.default_rng([42, 101]),
+                                 density=1.0)
+    releases = {dag.id: 4.0 * i for i, dag in enumerate(workload)}
+    spec = make_reward_spec(cluster, workload, releases=releases)
+    cfg = DqnConfig(hidden_sizes=(64, 64, 32), learning_rate=0.01,
+                    discount=0.99, eps_start=1.0, eps_end=0.005,
+                    eps_decay_steps=30000, buffer_capacity=20000,
+                    batch_size=64, target_sync_interval=50)
+    want = {1: "44fff002b067c419aec473dfa121af39ad095b598d073a9411426db2f0d7dc13",
+            5: "b0b923ec2c12e7451641eef985a1df01af27b1eb2854c7ae5edcf5e702f6ba6f"}
+    for seed, digest in want.items():
+        res = centralized_mode(cluster, workload, 20, dqn_cfg=cfg,
+                               sync=SyncConfig(10, 8), reward_spec=spec,
+                               releases=releases, seed=seed)
+        h = hashlib.sha256()
+        for a in list(res.policy.weights) + list(res.policy.biases):
+            h.update(np.ascontiguousarray(a).tobytes())
+        h.update(repr(res.trace).encode())
+        assert res.updates == 243
+        assert h.hexdigest() == digest

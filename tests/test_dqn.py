@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from reinfog import dqn
 from reinfog.dqn import FULL_SCALE_HIDDEN, DqnAgent, DqnConfig
+from reinfog.explore import eps_greedy
 from reinfog.network import dqn_target, forward
 from reinfog.replay import Experience
 
@@ -105,3 +107,35 @@ def test_learns_trivial_bandit():
     assert agent.greedy(np.array(state)) == 1
     q = forward(agent.online, np.array(state))
     assert np.allclose(q, rewards, atol=0.15)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
+def test_act_computes_q_only_when_it_exploits(monkeypatch, epsilon):
+    cfg = DqnConfig(hidden_sizes=(8, 8), eps_start=epsilon, eps_end=epsilon)
+    agent = DqnAgent(state_dim=4, n_actions=3, cfg=cfg, rng=0)
+    states = np.random.default_rng(1).normal(size=(500, 4))
+    ref_rng = np.random.default_rng(2)
+    want = [eps_greedy(forward(agent.online, s), epsilon, ref_rng) for s in states]
+    # the greedy branch is taken when a decision's first uniform is >= epsilon
+    probe = np.random.default_rng(2)
+    greedy = 0
+    for _ in states:
+        if probe.random() < epsilon:
+            probe.integers(0, 3)
+        else:
+            greedy += 1
+    calls = 0
+
+    def counting_forward(params, x):
+        nonlocal calls
+        calls += 1
+        return forward(params, x)
+
+    monkeypatch.setattr(dqn, "forward", counting_forward)
+    rng = np.random.default_rng(2)
+    assert [agent.act(s, rng) for s in states] == want
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert probe.bit_generator.state == ref_rng.bit_generator.state
+    assert calls == greedy
+    assert greedy == {0.0: 500, 1.0: 0}.get(epsilon, greedy)
+    assert epsilon != 0.5 or 150 < greedy < 350  # both branches exercised

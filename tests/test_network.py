@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -202,3 +203,97 @@ def test_policy_with_non_finite_values_rejected(tmp_path, where, value):
     save_policy(net, str(path))
     with pytest.raises(PolicyFormatError, match="must be finite"):
         load_policy(str(path))
+
+
+# -- one flat parameter buffer ---------------------------------------------------
+
+
+def assert_views_of_flat(net: NetworkParams) -> None:
+    views = list(net.weights) + list(net.biases)
+    assert sum(v.size for v in views) == net.flat.size
+    for v in views:
+        assert v.base is net.flat
+        assert np.shares_memory(v, net.flat)
+
+
+def test_every_constructor_binds_views_into_flat():
+    from reinfog.dqn import DqnAgent, DqnConfig
+
+    net = NetworkParams.glorot((4, 6, 5, 3), "tanh", rng=3)
+    loaded, _ = policy_from_doc(json.loads(json.dumps(policy_to_doc(net))))
+    agent = DqnAgent(4, 3, DqnConfig(hidden_sizes=(6, 5)), rng=0)
+    agent.set_online(net)
+    for made in (net, hand_net(), net.copy(), sync_target(net), loaded,
+                 pickle.loads(pickle.dumps(net)), agent.online, agent.target):
+        assert_views_of_flat(made)
+        assert made.flat.ndim == 1 and made.flat.flags.c_contiguous
+    for made in (net.copy(), loaded, pickle.loads(pickle.dumps(net)), agent.online):
+        assert made.flat.tobytes() == net.flat.tobytes()
+
+
+def test_write_through_a_view_shows_in_flat():
+    net = hand_net()
+    assert net.flat.tolist() == [1.0, -2.0, 0.5, 1.0, 0.25, -0.5, 2.0, -1.0, 0.75]
+    net.weights[1][1, 0] = 9.0
+    net.biases[0][1] += 1.0
+    assert net.flat[7] == 9.0 and net.flat[5] == 0.5
+    net.flat[0] = -3.0
+    assert net.weights[0][0, 0] == -3.0
+
+
+def test_copies_share_no_memory_with_their_source():
+    net = NetworkParams.glorot((3, 4, 2), rng=1)
+    for other in (net.copy(), sync_target(net), pickle.loads(pickle.dumps(net))):
+        assert not np.shares_memory(other.flat, net.flat)
+        other.flat += 1.0
+        assert not np.array_equal(other.flat, net.flat)
+
+
+def test_optimizer_step_on_unpickled_copy_changes_forward():
+    rng = np.random.default_rng(4)
+    net = pickle.loads(pickle.dumps(NetworkParams.glorot((3, 5, 2), "relu", rng)))
+    states = rng.normal(size=(6, 3))
+    before = forward(net, states)
+    dqn_update(net, states, np.array([0, 1, 0, 1, 1, 0]), rng.normal(size=6),
+               AdamOptimizer(0.05))
+    assert not np.array_equal(forward(net, states), before)
+
+
+def reference_adam(lr, t, ms, vs, tensors, grads, b1=0.9, b2=0.999, eps=1e-8):
+    """The per-tensor Adam step the flat one replaces."""
+    for i, (tensor, g) in enumerate(zip(tensors, grads)):
+        ms[i] = b1 * ms[i] + (1 - b1) * g
+        vs[i] = b2 * vs[i] + (1 - b2) * g * g
+        m_hat = ms[i] / (1 - b1 ** t)
+        v_hat = vs[i] / (1 - b2 ** t)
+        tensor -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+@pytest.mark.parametrize("packed", [False, True])
+def test_flat_optimizers_match_per_tensor_steps_bit_for_bit(packed):
+    # packed: the gradients arrive as separate arrays, not as the views of
+    # one buffer that dqn_loss_grads returns
+    rng = np.random.default_rng(6)
+    net = NetworkParams.glorot((5, 7, 6, 3), "tanh", rng)
+    adam_net, sgd_net, ref_adam, ref_sgd = net.copy(), net.copy(), net.copy(), net.copy()
+    adam, sgd = AdamOptimizer(0.01), SgdOptimizer(0.05)
+    ref_tensors = list(ref_adam.weights) + list(ref_adam.biases)
+    ms = [np.zeros_like(a) for a in ref_tensors]
+    vs = [np.zeros_like(a) for a in ref_tensors]
+    for t in range(1, 6):
+        states = rng.normal(size=(8, 5))
+        actions = rng.integers(0, 3, size=8)
+        targets = rng.normal(size=8)
+        for opt, target_net in ((adam, adam_net), (sgd, sgd_net)):
+            _, gw, gb = dqn_loss_grads(target_net, states, actions, targets)
+            if packed:
+                gw, gb = [a.copy() for a in gw], [a.copy() for a in gb]
+            opt.step(target_net, gw, gb)
+        _, gw, gb = dqn_loss_grads(ref_adam, states, actions, targets)
+        reference_adam(0.01, t, ms, vs, ref_tensors, list(gw) + list(gb))
+        _, gw, gb = dqn_loss_grads(ref_sgd, states, actions, targets)
+        for w, b, g_w, g_b in zip(ref_sgd.weights, ref_sgd.biases, gw, gb):
+            w -= 0.05 * g_w
+            b -= 0.05 * g_b
+        assert adam_net.flat.tobytes() == ref_adam.flat.tobytes()
+        assert sgd_net.flat.tobytes() == ref_sgd.flat.tobytes()

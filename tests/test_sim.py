@@ -107,6 +107,15 @@ def test_cluster_json_round_trip(tmp_path):
         cluster_from_json(doc)
 
 
+def test_cluster_json_rejects_duplicate_links():
+    doc = cluster_to_json(uniform_cluster(2))
+    assert len(cluster_from_json(doc).links) == len(doc["links"])
+    doc["links"].append({"src": 0, "dst": 1, "latency_s": 5.0,
+                         "bandwidth_mbps": 10.0})
+    with pytest.raises(ValueError, match=r"duplicate link \(0, 1\)"):
+        cluster_from_json(doc)
+
+
 @pytest.mark.parametrize("section, field, literal", [
     ("nodes", "compute_cap", "NaN"),
     ("nodes", "mem_avail", "Infinity"),
