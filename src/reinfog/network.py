@@ -46,20 +46,17 @@ class NetworkParams:
             expect = (self.layer_sizes[l], self.layer_sizes[l + 1])
             if w.shape != expect or b.shape != (expect[1],):
                 raise ValueError(f"layer {l}: bad parameter shape {w.shape}")
-        self._bind(_pack(self.weights, self.biases))
-
-    def _bind(self, flat: np.ndarray) -> "NetworkParams":
-        self.flat = flat
-        self.weights, self.biases = _layer_views(self.layer_sizes, flat)
-        return self
+        self.flat = _pack(self.weights, self.biases)
+        self.weights, self.biases = _layer_views(self.layer_sizes, self.flat)
 
     @classmethod
     def _on(cls, layer_sizes: tuple[int, ...], flat: np.ndarray,
             activation: str) -> "NetworkParams":
         """Parameters whose buffer is `flat` itself, not a copy of it."""
         params = cls.__new__(cls)
-        params.layer_sizes, params.activation = layer_sizes, activation
-        return params._bind(flat)
+        params.layer_sizes, params.activation, params.flat = layer_sizes, activation, flat
+        params.weights, params.biases = _layer_views(layer_sizes, flat)
+        return params
 
     def __reduce__(self):  # unpickling rebinds the views into the new `flat`
         return (NetworkParams._on, (self.layer_sizes, self.flat, self.activation))
@@ -81,12 +78,6 @@ class NetworkParams:
         return NetworkParams._on(self.layer_sizes, self.flat.copy(), self.activation)
 
 
-class _LayerViews(tuple):
-    """Per-layer views of the buffer `flat`; a tuple, so none can be rebound."""
-
-    flat: np.ndarray
-
-
 def _layer_views(sizes: tuple[int, ...], flat: np.ndarray):
     """(weight views, bias views) of `flat` in the [W0, b0, W1, b1, ...] layout."""
     weights, biases, start = [], [], 0
@@ -95,24 +86,13 @@ def _layer_views(sizes: tuple[int, ...], flat: np.ndarray):
         weights.append(flat[start:mid].reshape(fan_in, fan_out))
         biases.append(flat[mid:mid + fan_out])
         start = mid + fan_out
-    if start != flat.size:
-        raise ValueError(f"buffer of {flat.size} values for {start} parameters")
-    weights, biases = _LayerViews(weights), _LayerViews(biases)
-    weights.flat = biases.flat = flat
-    return weights, biases
+    return tuple(weights), tuple(biases)
 
 
 def _pack(weights, biases) -> np.ndarray:
     """Per-layer arrays copied into one new buffer in the flat layout."""
     return np.concatenate([np.ravel(a) for pair in zip(weights, biases) for a in pair],
                           dtype=float)
-
-
-def _flat_grads(grads_w, grads_b) -> np.ndarray:
-    """The buffer dqn_loss_grads wrote, or a packed copy of other gradients."""
-    flat = getattr(grads_w, "flat", None)
-    return flat if flat is not None and getattr(grads_b, "flat", None) is flat \
-        else _pack(grads_w, grads_b)
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -155,8 +135,7 @@ def dqn_loss_grads(params: NetworkParams, states: np.ndarray, actions: np.ndarra
 
     Returns:
         (loss, weight gradients, bias gradients); gradients match parameter
-        shapes layer by layer and are views of one new buffer in the layout
-        of `params.flat`, which the optimizers step with directly.
+        shapes layer by layer.
     """
     acts, pres = _forward_trace(params, states)
     q_all = acts[-1]
@@ -166,10 +145,11 @@ def dqn_loss_grads(params: NetworkParams, states: np.ndarray, actions: np.ndarra
     loss = float(np.mean(err * err))
     delta = np.zeros_like(q_all)
     delta[rows, actions] = 2.0 * err / batch
-    grads_w, grads_b = _layer_views(params.layer_sizes, np.empty_like(params.flat))
+    grads_w = [np.empty(0)] * len(params.weights)
+    grads_b = [np.empty(0)] * len(params.biases)
     for l in range(len(params.weights) - 1, -1, -1):
-        np.matmul(acts[l].T, delta, out=grads_w[l])
-        np.sum(delta, axis=0, out=grads_b[l])
+        grads_w[l] = acts[l].T @ delta
+        grads_b[l] = delta.sum(axis=0)
         if l > 0:
             delta = (delta @ params.weights[l].T) * _activate_grad(
                 pres[l - 1], params.activation)
@@ -181,7 +161,7 @@ class SgdOptimizer:
         self.learning_rate = learning_rate
 
     def step(self, params: NetworkParams, grads_w, grads_b) -> None:
-        params.flat -= self.learning_rate * _flat_grads(grads_w, grads_b)
+        params.flat -= self.learning_rate * _pack(grads_w, grads_b)
 
 
 class AdamOptimizer:
@@ -199,19 +179,16 @@ class AdamOptimizer:
         self._v: np.ndarray | None = None
 
     def step(self, params: NetworkParams, grads_w, grads_b) -> None:
-        g = _flat_grads(grads_w, grads_b)
+        g = _pack(grads_w, grads_b)
         if self._m is None:
             self._m = np.zeros_like(params.flat)
             self._v = np.zeros_like(params.flat)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        m, v = self._m, self._v
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** self.t)
-        v_hat = v / (1 - b2 ** self.t)
+        self._m = b1 * self._m + (1 - b1) * g
+        self._v = b2 * self._v + (1 - b2) * g * g
+        m_hat = self._m / (1 - b1 ** self.t)
+        v_hat = self._v / (1 - b2 ** self.t)
         params.flat -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
 
 

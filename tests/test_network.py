@@ -259,38 +259,40 @@ def test_optimizer_step_on_unpickled_copy_changes_forward():
     assert not np.array_equal(forward(net, states), before)
 
 
-def reference_adam(lr, t, ms, vs, tensors, grads, b1=0.9, b2=0.999, eps=1e-8):
-    """The per-tensor Adam step the flat one replaces."""
-    for i, (tensor, g) in enumerate(zip(tensors, grads)):
-        ms[i] = b1 * ms[i] + (1 - b1) * g
-        vs[i] = b2 * vs[i] + (1 - b2) * g * g
-        m_hat = ms[i] / (1 - b1 ** t)
-        v_hat = vs[i] / (1 - b2 ** t)
-        tensor -= lr * m_hat / (np.sqrt(v_hat) + eps)
+class PerTensorAdam:
+    """The per-tensor Adam step the flat one replaces, as a reference."""
+
+    def __init__(self, learning_rate, b1=0.9, b2=0.999, eps=1e-8):
+        self.lr, self.b1, self.b2, self.eps = learning_rate, b1, b2, eps
+        self.t, self.ms, self.vs = 0, None, None
+
+    def step(self, params, grads_w, grads_b):
+        tensors = list(params.weights) + list(params.biases)
+        if self.ms is None:
+            self.ms = [np.zeros_like(a) for a in tensors]
+            self.vs = [np.zeros_like(a) for a in tensors]
+        self.t += 1
+        b1, b2 = self.b1, self.b2
+        for i, (tensor, g) in enumerate(zip(tensors, list(grads_w) + list(grads_b))):
+            self.ms[i] = b1 * self.ms[i] + (1 - b1) * g
+            self.vs[i] = b2 * self.vs[i] + (1 - b2) * g * g
+            m_hat = self.ms[i] / (1 - b1 ** self.t)
+            v_hat = self.vs[i] / (1 - b2 ** self.t)
+            tensor -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-@pytest.mark.parametrize("packed", [False, True])
-def test_flat_optimizers_match_per_tensor_steps_bit_for_bit(packed):
-    # packed: the gradients arrive as separate arrays, not as the views of
-    # one buffer that dqn_loss_grads returns
+def test_flat_optimizers_match_per_tensor_steps_bit_for_bit():
     rng = np.random.default_rng(6)
     net = NetworkParams.glorot((5, 7, 6, 3), "tanh", rng)
     adam_net, sgd_net, ref_adam, ref_sgd = net.copy(), net.copy(), net.copy(), net.copy()
-    adam, sgd = AdamOptimizer(0.01), SgdOptimizer(0.05)
-    ref_tensors = list(ref_adam.weights) + list(ref_adam.biases)
-    ms = [np.zeros_like(a) for a in ref_tensors]
-    vs = [np.zeros_like(a) for a in ref_tensors]
-    for t in range(1, 6):
+    adam, sgd, reference = AdamOptimizer(0.01), SgdOptimizer(0.05), PerTensorAdam(0.01)
+    for _ in range(5):
         states = rng.normal(size=(8, 5))
         actions = rng.integers(0, 3, size=8)
         targets = rng.normal(size=8)
-        for opt, target_net in ((adam, adam_net), (sgd, sgd_net)):
-            _, gw, gb = dqn_loss_grads(target_net, states, actions, targets)
-            if packed:
-                gw, gb = [a.copy() for a in gw], [a.copy() for a in gb]
-            opt.step(target_net, gw, gb)
-        _, gw, gb = dqn_loss_grads(ref_adam, states, actions, targets)
-        reference_adam(0.01, t, ms, vs, ref_tensors, list(gw) + list(gb))
+        for opt, stepped in ((adam, adam_net), (sgd, sgd_net), (reference, ref_adam)):
+            _, gw, gb = dqn_loss_grads(stepped, states, actions, targets)
+            opt.step(stepped, gw, gb)
         _, gw, gb = dqn_loss_grads(ref_sgd, states, actions, targets)
         for w, b, g_w, g_b in zip(ref_sgd.weights, ref_sgd.biases, gw, gb):
             w -= 0.05 * g_w
