@@ -2,7 +2,7 @@
 
 Topology and rules:
 
-* Workers run episodes locally and stream Experience batches; the learner
+* Workers run episodes locally and stream batches of transitions; the learner
   is the only thread that touches network parameters.
 * Session threads never train. They validate ordering and content (see
   _batch_fault) and push batches to one queue; a single trainer thread
@@ -13,7 +13,11 @@ Topology and rules:
   (once the buffer holds a full batch), so update counts depend only on
   the arrival sizes, not on timing or experience content.
 * Policy broadcasts go out every sync_interval updates with a strictly
-  increasing policy_version; workers swap policies in between decisions.
+  increasing policy_version, encoded once and sent as the same bytes to
+  every session; workers swap policies in between decisions.
+* A session that ends other than by a clean close is kept in
+  `dropped_sessions` with the worker id (or the peer address before the
+  worker said hello) and the reason.
 """
 
 from __future__ import annotations
@@ -24,11 +28,11 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .dqn import DqnAgent, DqnConfig
+from . import protocol
 from .network import NetworkParams
 from .protocol import (
     PROTOCOL_VERSION,
@@ -41,7 +45,7 @@ from .protocol import (
     read_frame,
     write_frame,
 )
-from .replay import Experience, RandomReplayBuffer
+from .replay import RandomReplayBuffer, Transitions
 from .sim import (
     USER,
     ClusterSpec,
@@ -87,33 +91,38 @@ def endpoint_from_env() -> tuple[str, int]:
     return parse_endpoint(raw)
 
 
-def _take_batches(pending: list[Experience], size: int,
-                  everything: bool = False) -> Iterator[tuple[Experience, ...]]:
-    """Cut full batches of `size` off the front of `pending`; with
-    `everything`, the short remainder too."""
-    while len(pending) >= size or (everything and pending):
-        batch = tuple(pending[:size])
-        del pending[:len(batch)]
-        yield batch
+def _take_batches(pending: list[Transitions], size: int,
+                  everything: bool = False) -> list[Transitions]:
+    """Cut full batches of `size` off the front of the transitions in
+    `pending`, in order; with `everything`, the short remainder too. What is
+    left stays in `pending`."""
+    if not pending:
+        return []
+    rows = Transitions.concat(pending)
+    stop = len(rows) if everything else len(rows) - len(rows) % size
+    pending[:] = [rows[stop:]]
+    return [rows[i:i + size] for i in range(0, stop, size)]
 
 
-def _batch_fault(experiences: tuple[Experience, ...], state_dim: int,
-                 n_actions: int) -> str | None:
-    """Why a received batch is unfit to train on, naming the first bad
-    experience by its index; None when every experience is fit. Lengths and
-    actions are checked per experience, finiteness in one array pass."""
-    for i, exp in enumerate(experiences):
-        if len(exp.state) != state_dim or len(exp.next_state) != state_dim:
-            return (f"experience {i}: state lengths {len(exp.state)} and "
-                    f"{len(exp.next_state)}, expected {state_dim}")
-        if type(exp.action) is not int or not 0 <= exp.action < n_actions:
-            return f"experience {i}: action {exp.action!r} not an int in [0, {n_actions})"
-    finite = np.isfinite([(exp.reward, *exp.state, *exp.next_state)
-                          for exp in experiences])
+def _batch_fault(batch: Transitions, state_dim: int, n_actions: int) -> str | None:
+    """Why a received batch is unfit to train on, naming the first bad row
+    by its index; None when every row is fit. The type already holds float64
+    states and int64 actions of one shape; each check is one array pass."""
+    dim = batch.states.shape[1]
+    if dim != state_dim:
+        return f"state lengths {dim}, expected {state_dim}"
+    actions = batch.actions
+    bad = (actions < 0) | (actions >= n_actions)
+    if bad.any():
+        i = int(bad.argmax())
+        return f"experience {i}: action {actions[i]} not an int in [0, {n_actions})"
+    reward_ok = np.isfinite(batch.rewards)
+    finite = reward_ok & np.isfinite(batch.states).all(axis=1) \
+        & np.isfinite(batch.next_states).all(axis=1)
     if finite.all():
         return None
-    i = int(np.argmin(finite.all(axis=1)))
-    return f"experience {i}: non-finite {'reward' if not finite[i, 0] else 'state'}"
+    i = int(finite.argmin())
+    return f"experience {i}: non-finite {'reward' if not reward_ok[i] else 'state'}"
 
 
 class _TrainerCore:
@@ -124,10 +133,9 @@ class _TrainerCore:
         self.rng = rng
         self.buffer = RandomReplayBuffer(agent.cfg.buffer_capacity)
 
-    def ingest(self, experiences: tuple[Experience, ...]) -> bool:
+    def ingest(self, batch: Transitions) -> bool:
         """Append one arrival; run a single update once a batch is buffered."""
-        for exp in experiences:
-            self.buffer.push(exp)
+        self.buffer.push(batch)
         if len(self.buffer) < self.agent.cfg.batch_size:
             return False
         batch = self.buffer.sample(self.agent.cfg.batch_size, self.rng)
@@ -135,7 +143,7 @@ class _TrainerCore:
         return True
 
 
-def replay_arrivals(arrivals: list[tuple[str, int, tuple[Experience, ...]]],
+def replay_arrivals(arrivals: list[tuple[str, int, Transitions]],
                     state_dim: int, n_actions: int,
                     cfg: DqnConfig | None = None,
                     initial: NetworkParams | None = None,
@@ -149,8 +157,8 @@ def replay_arrivals(arrivals: list[tuple[str, int, tuple[Experience, ...]]],
     agent = DqnAgent(state_dim, n_actions, cfg, rng=rng, initial=initial)
     core = _TrainerCore(agent, rng)
     updates = 0
-    for _, _, experiences in arrivals:
-        if core.ingest(experiences):
+    for _, _, batch in arrivals:
+        if core.ingest(batch):
             updates += 1
     return updates, agent.online
 
@@ -162,9 +170,12 @@ class _Session:
         self.write_lock = threading.Lock()
 
     def send(self, msg: WireMessage) -> bool:
+        return self.send_frame(protocol.encode_frame(msg))
+
+    def send_frame(self, frame: bytes) -> bool:
         try:
             with self.write_lock:
-                write_frame(self.sock, msg)
+                self.sock.sendall(frame)
             return True
         except OSError:
             return False
@@ -198,7 +209,8 @@ class Learner:
         self.policy_version = 0
         self.updates = 0
         self.received_experiences = 0
-        self.arrival_log: list[tuple[str, int, tuple[Experience, ...]]] = []
+        self.arrival_log: list[tuple[str, int, Transitions]] = []
+        self.dropped_sessions: list[tuple[str, str]] = []  # (worker or peer, reason)
         self._queue: "queue.Queue" = queue.Queue()
         self._sessions: dict[str, _Session] = {}
         self._sessions_started = 0
@@ -279,69 +291,72 @@ class Learner:
     def _accept_loop(self) -> None:
         while not self._stop.is_set():
             try:
-                sock, _ = self._listener.accept()
+                sock, peer = self._listener.accept()
             except OSError:  # _halt() shut the listener down
                 break
-            t = threading.Thread(target=self._session_loop, args=(sock,),
-                                 daemon=True)
+            t = threading.Thread(target=self._session_loop,
+                                 args=(sock, "{}:{}".format(*peer[:2])), daemon=True)
             t.start()
             self._session_threads.append(t)
 
-    def _session_loop(self, sock: socket.socket) -> None:
-        session: _Session | None = None
+    def _session_loop(self, sock: socket.socket, peer: str) -> None:
+        who, session, reason = peer, None, None
         try:
             hello = read_frame(sock)
+            if isinstance(hello, WorkerHello):
+                who = hello.worker_id
             if not isinstance(hello, WorkerHello):
-                write_frame(sock, Shutdown("expected worker_hello"))
-                return
-            if hello.protocol_version != PROTOCOL_VERSION:
-                write_frame(sock, Shutdown(
-                    f"protocol version {hello.protocol_version} unsupported"))
-                return
-            with self._lock:
-                if hello.worker_id in self._sessions:
-                    duplicate = True
-                else:
-                    duplicate = False
-                    session = _Session(SessionState(hello.worker_id), sock)
-                    self._sessions[hello.worker_id] = session
-                    self._sessions_started += 1
-            if duplicate:
-                write_frame(sock, Shutdown("duplicate worker id"))
+                reason = "expected worker_hello"
+            elif hello.protocol_version != PROTOCOL_VERSION:
+                reason = f"protocol version {hello.protocol_version} unsupported"
+            else:
+                with self._lock:
+                    if who not in self._sessions:
+                        session = _Session(SessionState(who), sock)
+                        self._sessions[who] = session
+                        self._sessions_started += 1
+                reason = "duplicate worker id" if session is None else None
+            if reason is not None:
+                write_frame(sock, Shutdown(reason))
                 return
             # bootstrap the worker onto the current global policy
-            session.send(PolicySync(self.policy_version, self.agent.online.copy()))
-            while not self._stop.is_set():
-                msg = read_frame(sock)
-                if msg is None or isinstance(msg, Shutdown):
-                    break
-                if not isinstance(msg, ExperienceBatch):
-                    session.send(Shutdown("unexpected message type"))
-                    break
-                if msg.worker_id != session.state.worker_id:
-                    session.send(Shutdown("worker id changed mid-session"))
-                    break
-                if msg.seq <= session.state.last_seq:
-                    session.send(Shutdown(
-                        f"out-of-order batch {msg.seq} after "
-                        f"{session.state.last_seq}"))
-                    break
-                fault = _batch_fault(msg.experiences, *self._dims)
-                if fault is not None:
-                    session.send(Shutdown(
-                        f"worker {msg.worker_id} batch {msg.seq} {fault}"))
-                    break
-                session.state.last_seq = msg.seq
-                with self._lock:
-                    self.received_experiences += len(msg.experiences)
-                self._queue.put((msg.worker_id, msg.seq, msg.experiences))
-        except (ProtocolError, OSError):
-            pass
+            session.send(PolicySync(self.policy_version, self.agent.online))
+            reason = self._receive_batches(session)
+            if reason is not None:
+                session.send(Shutdown(reason))
+        except (ProtocolError, OSError) as exc:
+            reason = reason or f"{type(exc).__name__}: {exc}"
         finally:
             if session is not None:
                 with self._lock:
                     self._sessions.pop(session.state.worker_id, None)
             sock.close()
+            if reason is not None:
+                with self._lock:
+                    self.dropped_sessions.append((who, reason))
+
+    def _receive_batches(self, session: _Session) -> str | None:
+        """Queue the session's batches until it ends; why it must be
+        dropped, or None when it closed or said shutdown."""
+        state = session.state
+        while not self._stop.is_set():
+            msg = read_frame(session.sock)
+            if msg is None or isinstance(msg, Shutdown):
+                return None
+            if not isinstance(msg, ExperienceBatch):
+                return "unexpected message type"
+            if msg.worker_id != state.worker_id:
+                return "worker id changed mid-session"
+            if msg.seq <= state.last_seq:
+                return f"out-of-order batch {msg.seq} after {state.last_seq}"
+            fault = _batch_fault(msg.experiences, *self._dims)
+            if fault is not None:
+                return f"worker {msg.worker_id} batch {msg.seq} {fault}"
+            state.last_seq = msg.seq
+            with self._lock:
+                self.received_experiences += len(msg.experiences)
+            self._queue.put((msg.worker_id, msg.seq, msg.experiences))
+        return None
 
     def _drained(self) -> bool:
         if self._expected_workers is None:
@@ -380,13 +395,16 @@ class Learner:
 
     def _broadcast_policy(self) -> None:
         self.policy_version += 1
-        self._broadcast(PolicySync(self.policy_version, self.agent.online.copy()))
+        self._broadcast(PolicySync(self.policy_version, self.agent.online))
 
     def _broadcast(self, msg: WireMessage) -> None:
+        """Encode `msg` once and send the same bytes to every session."""
         with self._lock:
             sessions = list(self._sessions.values())
-        for session in sessions:
-            session.send(msg)
+        if sessions:
+            frame = protocol.encode_frame(msg)
+            for session in sessions:
+                session.send_frame(frame)
 
 
 def _connect_with_retry(endpoint: tuple[str, int]) -> socket.socket:
@@ -484,7 +502,7 @@ def worker_loop(endpoint: tuple[str, int] | None, worker_id: str,
     receiver = threading.Thread(target=receive, daemon=True)
     current_version = -1
     decision_log: list[int] = []
-    pending: list[Experience] = []
+    pending: list[Transitions] = []
     seq = 0
     batches = experiences_sent = 0
     rewards: list[float] = []
@@ -519,7 +537,7 @@ def worker_loop(endpoint: tuple[str, int] | None, worker_id: str,
             episodes_run += 1
             rewards.append(sum(result.rewards))
             wcs.append(result.total_wc)
-            pending.extend(result.steps)
+            pending.append(result.steps)
             flush()
         flush(everything=True)
         try:
@@ -583,7 +601,7 @@ def centralized_mode(cluster: ClusterSpec, workload, episodes: int,
     rng = np.random.default_rng(seed)
     agent = DqnAgent(3 * n + 4, n, dqn_cfg, rng=rng, initial=initial)
     core = _TrainerCore(agent, rng)
-    pending: list[Experience] = []
+    pending: list[Transitions] = []
     trace: list[EpisodeRow] = []
     updates = 0
 
@@ -596,7 +614,7 @@ def centralized_mode(cluster: ClusterSpec, workload, episodes: int,
     for episode in range(episodes):
         result = run_episode(cluster, workload, agent.act, spec,
                              releases, origin)
-        pending.extend(result.steps)
+        pending.append(result.steps)
         drain()
         trace.append(EpisodeRow(episode=episode, steps=len(result.steps),
                                 total_reward=sum(result.rewards),

@@ -14,7 +14,7 @@ from .network import (
     make_optimizer,
     sync_target,
 )
-from .replay import Experience
+from .replay import Transitions
 
 # layer preset used for full-scale training runs; desk runs keep the default
 FULL_SCALE_HIDDEN = (256, 256, 128)
@@ -86,20 +86,16 @@ class DqnAgent:
         """Swap in externally trained parameters (distributed policy sync)."""
         self.online = params.copy()
 
-    def _targets_for(self, batch: list[Experience]) -> np.ndarray:
-        rewards = np.array([e.reward for e in batch])
-        next_states = np.array([e.next_state for e in batch])
-        done = np.array([e.done for e in batch])
-        next_q = forward(self.target, next_states).max(axis=1)
+    def _targets_for(self, batch: Transitions) -> np.ndarray:
+        next_q = forward(self.target, batch.next_states).max(axis=1)
         # elementwise dqn_target: reward alone when the transition is terminal
-        return rewards + self.cfg.discount * next_q * (~done)
+        return batch.rewards + self.cfg.discount * next_q * (~batch.done)
 
-    def train_step(self, batch: list[Experience]) -> float:
+    def train_step(self, batch: Transitions) -> float:
         """One DQN update on a sampled batch; refreshes the target on schedule."""
-        states = np.array([e.state for e in batch])
-        actions = np.array([e.action for e in batch])
         targets = self._targets_for(batch)
-        loss = dqn_update(self.online, states, actions, targets, self.optimizer)
+        loss = dqn_update(self.online, batch.states, batch.actions, targets,
+                          self.optimizer)
         self.updates += 1
         if self.updates % self.cfg.target_sync_interval == 0:
             self.target = sync_target(self.online)

@@ -58,8 +58,25 @@ class NetworkParams:
         params.weights, params.biases = _layer_views(layer_sizes, flat)
         return params
 
+    @classmethod
+    def from_flat(cls, layer_sizes: Sequence[int], flat: np.ndarray,
+                  activation: str = "relu") -> "NetworkParams":
+        """Parameters copied out of a buffer in the flat layout; ValueError
+        unless the sizes are positive and the buffer fits them exactly."""
+        sizes = tuple(layer_sizes)
+        need = sum(a * b + b for a, b in zip(sizes, sizes[1:]))
+        if min(sizes, default=0) < 1 or flat.shape != (need,):
+            raise ValueError(f"{flat.size} parameters do not fit layer sizes {sizes}")
+        return cls(sizes, *_layer_views(sizes, flat), activation)
+
     def __reduce__(self):  # unpickling rebinds the views into the new `flat`
         return (NetworkParams._on, (self.layer_sizes, self.flat, self.activation))
+
+    def __eq__(self, other: object) -> bool:  # by layer sizes, activation and bytes
+        if not isinstance(other, NetworkParams):
+            return NotImplemented
+        return (self.layer_sizes, self.activation, self.flat.dtype, self.flat.tobytes()) \
+            == (other.layer_sizes, other.activation, other.flat.dtype, other.flat.tobytes())
 
     @classmethod
     def glorot(cls, layer_sizes: Sequence[int], activation: str = "relu",

@@ -1,8 +1,11 @@
-"""Length-prefixed JSON wire protocol between DRL workers and the learner.
+"""Length-prefixed wire protocol between DRL workers and the learner.
 
-Frame layout: 4-byte big-endian unsigned payload length, then a UTF-8 JSON
-object whose "type" field names the variant. Payloads above 64 MiB are
-rejected on both sides before any allocation is attempted.
+Frame layout (protocol 2): a 4-byte big-endian payload length, then the
+payload: a 4-byte big-endian header length, a UTF-8 JSON header whose
+"type" field names the variant, and a raw little-endian body (transitions
+or policy parameters; README.md gives the layout). A body whose length
+disagrees with its header is malformed. Payloads above 64 MiB are rejected
+on both sides before any allocation is attempted.
 """
 
 from __future__ import annotations
@@ -12,12 +15,17 @@ import socket
 import struct
 from dataclasses import dataclass
 
-from .network import NetworkParams, policy_from_doc, policy_to_doc
-from .replay import Experience
+import numpy as np
 
-PROTOCOL_VERSION = "1"
+from .network import NetworkParams
+from .replay import Transitions
+
+PROTOCOL_VERSION = "2"
 MAX_FRAME = 64 * 1024 * 1024
 _HEADER = struct.Struct(">I")
+# the batch body, field by field: (name, wire dtype, whether a row holds dim values)
+_BODY = (("states", "<f8", True), ("next_states", "<f8", True),
+         ("actions", "<i8", False), ("rewards", "<f8", False), ("done", "|b1", False))
 
 
 class ProtocolError(Exception):
@@ -50,7 +58,7 @@ class WorkerHello:
 class ExperienceBatch:
     worker_id: str
     seq: int
-    experiences: tuple[Experience, ...]
+    experiences: Transitions
 
 
 @dataclass(frozen=True)
@@ -67,52 +75,64 @@ class Shutdown:
 WireMessage = WorkerHello | ExperienceBatch | PolicySync | Shutdown
 
 
-def _experience_to_doc(exp: Experience) -> dict:
-    return {"state": list(exp.state), "action": exp.action, "reward": exp.reward,
-            "next_state": list(exp.next_state), "done": exp.done}
-
-
-def _experience_from_doc(doc: dict) -> Experience:
-    # the action is kept as sent (int() would truncate 1.9 to 1), so the
-    # learner can reject a non-integer action
-    return Experience(state=tuple(float(v) for v in doc["state"]),
-                      action=doc["action"],
-                      reward=float(doc["reward"]),
-                      next_state=tuple(float(v) for v in doc["next_state"]),
-                      done=bool(doc["done"]))
-
-
-def message_to_doc(msg: WireMessage) -> dict:
+def _message_parts(msg: WireMessage) -> tuple[dict, list[np.ndarray]]:
+    """(JSON header, arrays whose little-endian bytes make the body)."""
     if isinstance(msg, WorkerHello):
         return {"type": "worker_hello", "worker_id": msg.worker_id,
-                "protocol_version": msg.protocol_version}
+                "protocol_version": msg.protocol_version}, []
     if isinstance(msg, ExperienceBatch):
-        return {"type": "experience_batch", "worker_id": msg.worker_id,
-                "seq": msg.seq,
-                "experiences": [_experience_to_doc(e) for e in msg.experiences]}
+        rows, dim = msg.experiences.states.shape
+        return ({"type": "experience_batch", "worker_id": msg.worker_id,
+                 "seq": msg.seq, "rows": rows, "dim": dim},
+                [np.ascontiguousarray(getattr(msg.experiences, name), dtype)
+                 for name, dtype, _ in _BODY])
     if isinstance(msg, PolicySync):
-        return {"type": "policy_sync", "policy_version": msg.policy_version,
-                "policy": policy_to_doc(msg.policy)}
+        return ({"type": "policy_sync", "policy_version": msg.policy_version,
+                 "layer_sizes": list(msg.policy.layer_sizes),
+                 "activation": msg.policy.activation},
+                [np.ascontiguousarray(msg.policy.flat, "<f8")])
     if isinstance(msg, Shutdown):
-        return {"type": "shutdown", "reason": msg.reason}
+        return {"type": "shutdown", "reason": msg.reason}, []
     raise TypeError(f"not a wire message: {type(msg).__name__}")
 
 
-def message_from_doc(doc: dict) -> WireMessage:
+def _transitions_from(doc: dict, body) -> Transitions:
+    rows, dim = doc["rows"], doc["dim"]
+    if type(rows) is not int or type(dim) is not int or min(rows, dim) < 0:
+        raise MalformedFrame(f"rows {rows!r} and dim {dim!r} must be non-negative ints")
+    if len(body) != rows * (16 * dim + 17):
+        raise MalformedFrame(f"experience_batch body of {len(body)} bytes, header "
+                             f"says {rows * (16 * dim + 17)}")
+    arrays, offset = {}, 0
+    for name, dtype, wide in _BODY:
+        raw = np.frombuffer(body, dtype, rows * dim if wide else rows, offset)
+        offset += raw.nbytes
+        arrays[name] = raw.astype(raw.dtype.newbyteorder("="), copy=False) \
+            .reshape((rows, dim) if wide else rows)
+    if (arrays["done"].view(np.uint8) > 1).any():
+        raise MalformedFrame("done flags must be bytes 0 or 1")
+    return Transitions(**arrays)
+
+
+def message_from_doc(doc: dict, body=b"") -> WireMessage:
+    """The message a decoded header and its raw body describe."""
     if not isinstance(doc, dict) or "type" not in doc:
-        raise MalformedFrame("payload is not a tagged object")
+        raise MalformedFrame("header is not a tagged object")
     kind = doc["type"]
     try:
-        if kind == "worker_hello":
-            return WorkerHello(str(doc["worker_id"]),
-                               str(doc["protocol_version"]))
         if kind == "experience_batch":
-            return ExperienceBatch(
-                str(doc["worker_id"]), int(doc["seq"]),
-                tuple(_experience_from_doc(e) for e in doc["experiences"]))
+            return ExperienceBatch(str(doc["worker_id"]), int(doc["seq"]),
+                                   _transitions_from(doc, body))
         if kind == "policy_sync":
-            params, _ = policy_from_doc(doc["policy"])
+            params = NetworkParams.from_flat(doc["layer_sizes"], np.frombuffer(body, "<f8"),
+                                             str(doc["activation"]))
+            if not np.isfinite(params.flat).all():
+                raise MalformedFrame("policy weights and biases must be finite")
             return PolicySync(int(doc["policy_version"]), params)
+        if kind in ("worker_hello", "shutdown") and len(body):
+            raise MalformedFrame(f"{kind} carries a body of {len(body)} bytes")
+        if kind == "worker_hello":
+            return WorkerHello(str(doc["worker_id"]), str(doc["protocol_version"]))
         if kind == "shutdown":
             return Shutdown(str(doc["reason"]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -121,10 +141,24 @@ def message_from_doc(doc: dict) -> WireMessage:
 
 
 def encode_frame(msg: WireMessage) -> bytes:
-    payload = json.dumps(message_to_doc(msg)).encode("utf-8")
-    if len(payload) > MAX_FRAME:
-        raise FrameTooLarge(f"payload of {len(payload)} bytes exceeds cap")
-    return _HEADER.pack(len(payload)) + payload
+    doc, arrays = _message_parts(msg)
+    header = json.dumps(doc).encode("utf-8")
+    length = _HEADER.size + len(header) + sum(a.nbytes for a in arrays)
+    if length > MAX_FRAME:
+        raise FrameTooLarge(f"payload of {length} bytes exceeds cap")
+    return b"".join([_HEADER.pack(length), _HEADER.pack(len(header)), header, *arrays])
+
+
+def _parse_payload(payload) -> WireMessage:
+    view = memoryview(payload)
+    size = _HEADER.unpack_from(view)[0] if len(view) >= _HEADER.size else None
+    if size is None or _HEADER.size + size > len(view):
+        raise MalformedFrame(f"payload of {len(view)} bytes cannot hold its header")
+    try:
+        doc = json.loads(bytes(view[_HEADER.size:_HEADER.size + size]).decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise MalformedFrame(f"undecodable header: {exc}") from exc
+    return message_from_doc(doc, view[_HEADER.size + size:])
 
 
 def decode_frame(buf: bytes) -> tuple[WireMessage, int]:
@@ -137,11 +171,7 @@ def decode_frame(buf: bytes) -> tuple[WireMessage, int]:
     end = _HEADER.size + length
     if len(buf) < end:
         raise TruncatedFrame(f"truncated frame: want {end} bytes, have {len(buf)}")
-    try:
-        doc = json.loads(buf[_HEADER.size:end].decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise MalformedFrame(f"undecodable payload: {exc}") from exc
-    return message_from_doc(doc), end
+    return _parse_payload(memoryview(buf)[_HEADER.size:end]), end
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
@@ -170,11 +200,7 @@ def read_frame(sock: socket.socket) -> WireMessage | None:
     payload = _recv_exact(sock, length)
     if payload is None and length > 0:
         raise TruncatedFrame("connection closed before payload")
-    try:
-        doc = json.loads((payload or b"").decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise MalformedFrame(f"undecodable payload: {exc}") from exc
-    return message_from_doc(doc)
+    return _parse_payload(payload or b"")
 
 
 def write_frame(sock: socket.socket, msg: WireMessage) -> None:

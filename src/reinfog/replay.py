@@ -1,9 +1,10 @@
-"""Experience containers: bounded FIFO buffer and reservoir-sampled buffer."""
+"""Experience containers: transitions as parallel arrays, the FIFO ring they
+are sampled from, and a reservoir-sampled buffer of single records."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -17,30 +18,96 @@ class Experience:
     done: bool
 
 
-def _sample(items, k: int, rng: np.random.Generator) -> list[Experience]:
-    if k > len(items):
-        raise ValueError(f"cannot sample {k} from buffer of {len(items)}")
-    idx = rng.choice(len(items), size=k, replace=False)
-    return [items[i] for i in idx]
+@dataclass(frozen=True, eq=False)
+class Transitions:
+    """k transitions as parallel arrays; row i is one (s, a, r, s', done).
+
+    `states` and `next_states` are (k, d) float64, `actions` (k,) int64,
+    `rewards` (k,) float64 and `done` (k,) bool; construction checks this
+    and copies nothing. Indexing by a slice or an index array selects rows,
+    and == compares shapes, dtypes and bytes.
+    """
+
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
+    done: np.ndarray
+
+    def __post_init__(self) -> None:
+        arrays = [getattr(self, name) for name in _FIELDS]
+        for name, a, want in zip(_FIELDS, arrays, _DTYPES):
+            if getattr(a, "dtype", None) != want:
+                raise ValueError(f"{name} must be a {want} array, got "
+                                 f"{getattr(a, 'dtype', type(a).__name__)}")
+        shapes = [a.shape for a in arrays]
+        if len(shapes[0]) != 2 or shapes[3] != shapes[0] \
+                or any(s != shapes[0][:1] for s in shapes[1:3] + shapes[4:]):
+            raise ValueError(f"ragged transitions: shapes {shapes}")
+
+    @classmethod
+    def concat(cls, parts: Sequence["Transitions"]) -> "Transitions":
+        if len(parts) == 1:
+            return parts[0]
+        return cls(*(np.concatenate([getattr(p, name) for p in parts]) for name in _FIELDS))
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __getitem__(self, rows) -> "Transitions":
+        return Transitions(*(getattr(self, name)[rows] for name in _FIELDS))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Transitions):
+            return NotImplemented
+        return all((a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+                   for a, b in ((getattr(self, n), getattr(other, n)) for n in _FIELDS))
+
+
+_FIELDS = ("states", "actions", "rewards", "next_states", "done")
+_DTYPES = tuple(map(np.dtype, ("float64", "int64", "float64", "float64", "bool")))
 
 
 class RandomReplayBuffer:
-    """FIFO ring of the most recent experiences, sampled uniformly."""
+    """FIFO ring of the most recent transitions, sampled uniformly.
+
+    Preallocated arrays, sized at the first push; logical row 0 is the
+    oldest kept, and a push writes at most two slices per array.
+    """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._data: deque[Experience] = deque(maxlen=capacity)
+        self._rows: Transitions | None = None
+        self._len = 0
+        self._next = 0  # the physical row the next push writes first
 
-    def push(self, exp: Experience) -> None:
-        self._data.append(exp)
+    def push(self, batch: Transitions) -> None:
+        cap, at = self.capacity, self._next
+        if self._rows is None:
+            self._rows = Transitions(*(np.empty((cap, *getattr(batch, n).shape[1:]), dtype)
+                                       for n, dtype in zip(_FIELDS, _DTYPES)))
+        batch = batch[len(batch) - cap:] if len(batch) > cap else batch
+        k = len(batch)
+        head = min(k, cap - at)
+        for name in _FIELDS:
+            ring, new = getattr(self._rows, name), getattr(batch, name)
+            ring[at:at + head] = new[:head]
+            ring[:k - head] = new[head:]
+        self._next = (at + k) % cap
+        self._len = min(self._len + k, cap)
 
-    def sample(self, k: int, rng: np.random.Generator) -> list[Experience]:
-        return _sample(self._data, k, rng)
+    def sample(self, k: int, rng: np.random.Generator) -> Transitions:
+        if k > self._len:
+            raise ValueError(f"cannot sample {k} from buffer of {self._len}")
+        idx = rng.choice(self._len, size=k, replace=False)
+        if self._len == self.capacity:  # the oldest row sits at _next
+            idx = (idx + self._next) % self.capacity
+        return self._rows[idx]
 
     def __len__(self) -> int:
-        return len(self._data)
+        return self._len
 
 
 class ReservoirReplayBuffer:
@@ -68,7 +135,10 @@ class ReservoirReplayBuffer:
             self._data[slot] = exp
 
     def sample(self, k: int, rng: np.random.Generator) -> list[Experience]:
-        return _sample(self._data, k, rng)
+        if k > len(self._data):
+            raise ValueError(f"cannot sample {k} from buffer of {len(self._data)}")
+        idx = rng.choice(len(self._data), size=k, replace=False)
+        return [self._data[i] for i in idx]
 
     def __len__(self) -> int:
         return len(self._data)

@@ -55,7 +55,7 @@ from .model import (
     topo_order,
     weighted_cost,
 )
-from .replay import Experience
+from .replay import Transitions
 
 # pseudo node id for the data origin (user / gateway side)
 USER = -1
@@ -435,10 +435,15 @@ class IncrementalSim:
         return StepOutcome(np.arange(cl.n), start, finish, energy, finish - met,
                            fits & in_time)
 
-    def commit(self, app: AppDag, task: Task, node: int) -> StepOutcome:
+    def commit(self, app: AppDag, task: Task, node: int,
+               _sweep: StepOutcome | None = None) -> StepOutcome:
+        """Schedule `task` on `node`. Greedy passes `peek`'s sweep of this
+        task, whose entry for `node` equals the scalar outcome bit for bit."""
         if task.id in self.runs[app.id]:
             raise ValueError(f"app {app.id} task {task.id} already scheduled")
-        out = self._outcome(app, task, node)
+        out = self._outcome(app, task, node) if _sweep is None else StepOutcome(
+            node, float(_sweep.start_s[node]), float(_sweep.finish_s[node]),
+            float(_sweep.energy_j[node]), float(_sweep.rt_s[node]), bool(_sweep.success[node]))
         self.node_free[node] = out.finish_s
         self.committed_mem[node] += task.input_size + task.output_size
         self._finish[node].append(out.finish_s)
@@ -622,17 +627,17 @@ class EpisodeResult:
     total_ec: float
     total_wc: float
     rewards: tuple[float, ...]
-    steps: tuple[Experience, ...]  # empty for the baselines
+    steps: Transitions | None  # None for the baselines
 
 
 def _drive(cluster: ClusterSpec, workload: Sequence[AppDag],
-           choose: Callable[[IncrementalSim, AppDag, Task], int],
+           step: Callable[[IncrementalSim, AppDag, Task], StepOutcome],
            reward_spec: RewardSpec | None,
            releases: Mapping[int, float] | None,
            origin: int) -> EpisodeResult:
-    """Commit every decision `choose` makes; the result carries no transitions."""
+    """Commit every decision `step` makes; the result carries no transitions."""
     sim = IncrementalSim(cluster, workload, releases, origin)
-    outcomes = [sim.commit(app, task, choose(sim, app, task))
+    outcomes = [step(sim, app, task)
                 for app, task in _decision_order(sim.workload, sim.releases)]
 
     configs = tuple(sim.config_for(app) for app in sim.workload)
@@ -644,7 +649,7 @@ def _drive(cluster: ClusterSpec, workload: Sequence[AppDag],
     wc = weighted_cost(rt, ec, spec.baseline_rt, spec.baseline_ec,
                        spec.w1, spec.w2)
     rewards = tuple(compute_reward(out, spec) for out in outcomes)
-    return EpisodeResult(configs, rt, ec, wc, rewards, ())
+    return EpisodeResult(configs, rt, ec, wc, rewards, None)
 
 
 def run_episode(cluster: ClusterSpec, workload: Sequence[AppDag],
@@ -654,29 +659,30 @@ def run_episode(cluster: ClusterSpec, workload: Sequence[AppDag],
                 origin: int = USER) -> EpisodeResult:
     """Walk every task in arrival then topological order through the policy.
 
-    Returns one Experience per decision; the last one is terminal with an
-    all-zero next state. With reward_spec None the episode normalizes
-    against its own totals, which pins total_wc to exactly 1.0; pass a
-    spec built from a baseline run for anything comparative.
+    Returns the transitions of every decision in order; the last one is
+    terminal with an all-zero next state. With reward_spec None the episode
+    normalizes against its own totals, which pins total_wc to exactly 1.0;
+    pass a spec built from a baseline run for anything comparative.
     """
     encoded: list[np.ndarray] = []
     actions: list[int] = []
 
-    def choose(sim: IncrementalSim, app: AppDag, task: Task) -> int:
+    def step(sim: IncrementalSim, app: AppDag, task: Task) -> StepOutcome:
         state = encode_state(cluster, sim, app, task)
         action = decode_action(policy(state), cluster.n)
         encoded.append(state)
         actions.append(action)
-        return action
+        return sim.commit(app, task, action)
 
-    result = _drive(cluster, workload, choose, reward_spec, releases, origin)
+    result = _drive(cluster, workload, step, reward_spec, releases, origin)
     # transitions are built after the loop: nothing extra runs between decisions
-    states = [tuple(state) for state in encoded]
-    next_states = states[1:] + [tuple([0.0] * (3 * cluster.n + 4))]
-    last = len(states) - 1
-    steps = tuple(Experience(state, action, reward, nxt, i == last)
-                  for i, (state, action, reward, nxt)
-                  in enumerate(zip(states, actions, result.rewards, next_states)))
+    k = len(encoded)
+    states = np.array(encoded).reshape(k, 3 * cluster.n + 4)
+    next_states = np.zeros_like(states)
+    next_states[:-1] = states[1:]
+    steps = Transitions(states, np.array(actions, dtype=np.int64),
+                        np.array(result.rewards, dtype=float), next_states,
+                        np.arange(k) == k - 1)
     return replace(result, steps=steps)
 
 
@@ -687,7 +693,7 @@ def baseline_round_robin(cluster: ClusterSpec, workload: Sequence[AppDag],
     """Cycle node indices across decisions, irrespective of state."""
     counter = itertools.count()
     return _drive(cluster, workload,
-                  lambda sim, app, task: next(counter) % cluster.n,
+                  lambda sim, app, task: sim.commit(app, task, next(counter) % cluster.n),
                   reward_spec, releases, origin)
 
 
@@ -705,10 +711,12 @@ def baseline_greedy(cluster: ClusterSpec, workload: Sequence[AppDag],
     spec = reward_spec or make_reward_spec(cluster, workload,
                                            releases=releases, origin=origin)
 
-    def choose(sim: IncrementalSim, app: AppDag, task: Task) -> int:
-        return int(np.argmin(_incremental_cost(sim.peek(app, task), spec)))
+    def step(sim: IncrementalSim, app: AppDag, task: Task) -> StepOutcome:
+        sweep = sim.peek(app, task)
+        return sim.commit(app, task, int(np.argmin(_incremental_cost(sweep, spec))),
+                          sweep)
 
-    return _drive(cluster, workload, choose, spec, releases, origin)
+    return _drive(cluster, workload, step, spec, releases, origin)
 
 
 def make_reward_spec(cluster: ClusterSpec, workload: Sequence[AppDag],

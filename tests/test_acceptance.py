@@ -51,7 +51,7 @@ from reinfog.protocol import (
     decode_frame,
     encode_frame,
 )
-from reinfog.replay import Experience, ReservoirReplayBuffer
+from reinfog.replay import Experience, ReservoirReplayBuffer, Transitions
 from reinfog.sim import (
     ClusterSpec,
     LinkSpec,
@@ -339,12 +339,10 @@ def _random_message(rng: np.random.Generator):
     if kind < 0.3:
         return WorkerHello(f"w{int(rng.integers(1e6))}")
     if kind < 0.7:
-        exps = tuple(
-            Experience(tuple(float(v) for v in rng.normal(size=int(rng.integers(1, 5)))),
-                       int(rng.integers(4)), float(rng.normal()),
-                       tuple(float(v) for v in rng.normal(size=2)),
-                       bool(rng.random() < 0.2))
-            for _ in range(int(rng.integers(1, 6))))
+        k, dim = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        exps = Transitions(rng.normal(size=(k, dim)), rng.integers(4, size=k),
+                           rng.normal(size=k), rng.normal(size=(k, dim)),
+                           rng.random(k) < 0.2)
         return ExperienceBatch(f"w{int(rng.integers(100))}",
                                int(rng.integers(1e9)), exps)
     if kind < 0.9:

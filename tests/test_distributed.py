@@ -1,5 +1,7 @@
 import hashlib
+import json
 import socket
+import struct
 import threading
 import time
 from dataclasses import replace
@@ -19,7 +21,7 @@ from reinfog.distributed import (
     worker_loop,
     _connect_with_retry,
 )
-from reinfog import dqn
+from reinfog import dqn, protocol
 from reinfog.dqn import DqnConfig
 from reinfog.explore import eps_greedy
 from reinfog.model import Node
@@ -32,7 +34,7 @@ from reinfog.protocol import (
     read_frame,
     write_frame,
 )
-from reinfog.replay import Experience
+from reinfog.replay import Transitions
 from reinfog.sim import (
     USER,
     ClusterSpec,
@@ -142,6 +144,39 @@ def test_three_workers_no_loss_no_duplication():
     assert policy_to_doc(params) == policy_to_doc(learner.agent.online)
 
 
+def test_policy_broadcast_is_encoded_once(monkeypatch):
+    # three sessions, two broadcasts: one encode per session's bootstrap and
+    # one per broadcast, and every session receives the same policies
+    encoded: list[int] = []
+    real = protocol.encode_frame
+
+    def counting(msg):
+        if isinstance(msg, PolicySync):
+            encoded.append(msg.policy_version)
+        return real(msg)
+
+    monkeypatch.setattr(protocol, "encode_frame", counting)
+    learner = small_learner(sync=SyncConfig(sync_interval=1, batch_flush=2),
+                            cfg=DqnConfig(hidden_sizes=(8,), batch_size=2,
+                                          buffer_capacity=64))
+    socks = [socket.create_connection(learner.address, timeout=10.0) for _ in range(3)]
+    try:
+        for i, sock in enumerate(socks):
+            write_frame(sock, WorkerHello(f"w{i}"))
+            assert isinstance(read_frame(sock), PolicySync)
+        for seq in (1, 2):
+            write_frame(socks[0], exp_batch("w0", seq))
+        got = [[read_frame(sock) for _ in range(2)] for sock in socks]
+    finally:
+        for sock in socks:
+            sock.close()
+        learner.stop()
+        assert learner.join(timeout=10.0)
+    assert [m.policy_version for m in got[0]] == [1, 2]
+    assert got[0] == got[1] == got[2]
+    assert encoded == [0, 0, 0, 1, 2]
+
+
 def test_policy_versions_monotone_and_sync_interval_one():
     learner = small_learner(expected_workers=1,
                             sync=SyncConfig(sync_interval=1, batch_flush=2),
@@ -192,10 +227,16 @@ def test_duplicate_worker_id_rejected():
         learner.join(timeout=10.0)
 
 
+def transitions(k: int, state=0.0, action=0, reward=-1.0, next_state=0.0, done=True,
+                dim: int = STATE_DIM) -> Transitions:
+    """k identical transitions."""
+    return Transitions(np.full((k, dim), state), np.full(k, action),
+                       np.full(k, float(reward)), np.full((k, dim), next_state),
+                       np.full(k, done))
+
+
 def exp_batch(wid: str, seq: int, k: int = 2) -> ExperienceBatch:
-    exps = tuple(Experience((0.0,) * STATE_DIM, 0, -1.0, (0.0,) * STATE_DIM, True)
-                 for _ in range(k))
-    return ExperienceBatch(wid, seq, exps)
+    return ExperienceBatch(wid, seq, transitions(k))
 
 
 def test_out_of_order_seq_terminates_session():
@@ -248,44 +289,107 @@ def test_trainer_crash_is_raised_from_join():
     assert learner.updates == 0
 
 
-GOOD = Experience((0.5,) * STATE_DIM, 1, -1.0, (0.25,) * STATE_DIM, False)
+GOOD = transitions(3, state=0.5, action=1, next_state=0.25, done=False)
+
+
+def with_row_1(field: str, value, column: int | None = None) -> Transitions:
+    """GOOD with row 1 (and `column`, for states) of one field replaced."""
+    arrays = {f: np.array(getattr(GOOD, f))
+              for f in ("states", "actions", "rewards", "next_states", "done")}
+    arrays[field][(1, column) if column is not None else 1] = value
+    return Transitions(**arrays)
 
 
 @pytest.mark.parametrize("bad, why", [
-    (replace(GOOD, state=(0.0,) * (STATE_DIM - 1)), "state lengths"),
-    (replace(GOOD, next_state=(0.0,) * (STATE_DIM + 1)), "state lengths"),
-    (replace(GOOD, action=CLUSTER.n), "action 2 not an int"),
-    (replace(GOOD, action=-1), "action -1 not an int"),
-    (replace(GOOD, action=1.0), "action 1.0 not an int"),
-    (replace(GOOD, action=True), "action True not an int"),
-    (replace(GOOD, reward=float("nan")), "non-finite reward"),
-    (replace(GOOD, reward=float("inf")), "non-finite reward"),
-    (replace(GOOD, state=(float("nan"),) + GOOD.state[1:]), "non-finite state"),
-    (replace(GOOD, next_state=GOOD.next_state[:-1] + (-float("inf"),)),
-     "non-finite state"),
-])
+    (transitions(3, state=0.5, dim=STATE_DIM - 1), "batch 2 state lengths 9, expected 10"),
+    (transitions(3, state=0.5, dim=STATE_DIM + 1), "batch 2 state lengths 11, expected 10"),
+    (with_row_1("actions", CLUSTER.n), "batch 2 experience 1: action 2 not an int in [0, 2)"),
+    (with_row_1("actions", -1), "batch 2 experience 1: action -1 not an int in [0, 2)"),
+    (with_row_1("rewards", float("nan")), "batch 2 experience 1: non-finite reward"),
+    (with_row_1("rewards", float("inf")), "batch 2 experience 1: non-finite reward"),
+    (with_row_1("states", float("nan"), 0), "batch 2 experience 1: non-finite state"),
+    (with_row_1("next_states", -float("inf"), -1), "batch 2 experience 1: non-finite state"),
+], ids=[  # kept from when cases 4 and 5 were a float and a bool action, which
+          # the transitions type now refuses when a batch is built
+    "bad0-state lengths", "bad1-state lengths", "bad2-action 2 not an int",
+    "bad3-action -1 not an int", "bad6-non-finite reward", "bad7-non-finite reward",
+    "bad8-non-finite state", "bad9-non-finite state"])
 def test_unfit_experience_drops_the_session(bad, why):
-    # one valid batch of batch_size trains; the next batch holds one unfit
-    # experience at index 1, and nothing of that batch is taken in
-    valid = tuple(replace(GOOD, reward=float(-i)) for i in range(SMALL_CFG.batch_size))
+    # one valid batch of batch_size trains; the next batch is unfit, by its
+    # state width or at row 1, and nothing of that batch is taken in
+    valid = transitions(SMALL_CFG.batch_size, state=0.5, action=1, next_state=0.25,
+                        done=False)
+    valid.rewards[:] = -np.arange(SMALL_CFG.batch_size)
     learner = small_learner(expected_workers=1)
     sock = socket.create_connection(learner.address, timeout=10.0)
     try:
         write_frame(sock, WorkerHello("w0"))
         assert isinstance(read_frame(sock), PolicySync)
         write_frame(sock, ExperienceBatch("w0", 1, valid))
-        write_frame(sock, ExperienceBatch("w0", 2, (GOOD, bad, GOOD)))
+        write_frame(sock, ExperienceBatch("w0", 2, bad))
         while not isinstance(msg := read_frame(sock), Shutdown):
             assert msg is not None
         assert read_frame(sock) is None  # the learner dropped the session
     finally:
         sock.close()
     assert learner.join(timeout=10.0)
-    assert msg.reason.startswith("worker w0 batch 2 experience 1: ")
-    assert why in msg.reason
+    assert msg.reason == f"worker w0 {why}"
     assert learner.received_experiences == len(valid)
     assert learner.arrival_log == [("w0", 1, valid)]
+    assert learner.dropped_sessions == [("w0", msg.reason)]
     assert learner.updates == 1
+
+
+@pytest.mark.parametrize("action", [1.0, True])
+def test_non_integer_actions_are_refused_when_the_batch_is_built(action):
+    with pytest.raises(ValueError, match=f"actions must be a int64 array, got "
+                                         f"{np.asarray(action).dtype}"):
+        Transitions(GOOD.states, np.full(3, action), GOOD.rewards, GOOD.next_states,
+                    GOOD.done)
+
+
+def _frame(header: dict, body: bytes = b"", declared: int | None = None) -> bytes:
+    """A protocol-2 frame by hand; `declared` overrides the payload length."""
+    head = json.dumps(header).encode()
+    length = 4 + len(head) + len(body) if declared is None else declared
+    return struct.pack(">II", length, len(head)) + head + body
+
+
+_V1_HELLO = json.dumps({"type": "worker_hello", "worker_id": "old",
+                        "protocol_version": "1"}).encode()
+_BATCH = {"type": "experience_batch", "worker_id": "w0", "seq": 1, "rows": 1,
+          "dim": STATE_DIM}
+_ROW = 16 * STATE_DIM + 17
+
+
+@pytest.mark.parametrize("after_hello, who, why", [
+    # the body is cut short and the worker closes mid-frame
+    (_frame(_BATCH, bytes(_ROW - 8), declared=4 + len(json.dumps(_BATCH)) + _ROW),
+     "w0", "TruncatedFrame: connection closed"),
+    (_frame(_BATCH, bytes(_ROW + 8)), "w0",
+     f"MalformedFrame: experience_batch body of {_ROW + 8} bytes, header says {_ROW}"),
+    (None, "127.0.0.1:", "MalformedFrame: payload of"),
+])
+def test_dropped_sessions_keep_who_and_why(after_hello, who, why):
+    learner = small_learner(expected_workers=1)
+    sock = socket.create_connection(learner.address, timeout=10.0)
+    try:
+        if after_hello is None:  # a protocol-1 worker: its hello is plain JSON
+            sock.sendall(struct.pack(">I", len(_V1_HELLO)) + _V1_HELLO)
+        else:
+            write_frame(sock, WorkerHello("w0"))
+            assert isinstance(read_frame(sock), PolicySync)
+            sock.sendall(after_hello)
+            sock.shutdown(socket.SHUT_WR)
+        assert sock.recv(1 << 16) == b""  # the learner closed the session
+    finally:
+        sock.close()
+    learner.stop()
+    assert learner.join(timeout=10.0)
+    [(got_who, reason)] = learner.dropped_sessions
+    assert got_who.startswith(who)
+    assert reason.startswith(why)
+    assert learner.received_experiences == 0
 
 
 def test_worker_runs_without_any_policy_sync():

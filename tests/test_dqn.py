@@ -5,7 +5,7 @@ from reinfog import dqn
 from reinfog.dqn import FULL_SCALE_HIDDEN, DqnAgent, DqnConfig
 from reinfog.explore import eps_greedy
 from reinfog.network import dqn_target, forward
-from reinfog.replay import Experience
+from reinfog.replay import Transitions
 
 
 def make_agent(**over) -> DqnAgent:
@@ -42,25 +42,20 @@ def test_greedy_matches_online_argmax():
     assert agent.greedy(state) == int(np.argmax(q))
 
 
-def batch(rng, n=16):
-    out = []
-    for _ in range(n):
-        out.append(Experience(state=tuple(rng.normal(size=4)),
-                              action=int(rng.integers(3)),
-                              reward=float(rng.normal()),
-                              next_state=tuple(rng.normal(size=4)),
-                              done=bool(rng.random() < 0.2)))
-    return out
+def batch(rng, n=16) -> Transitions:
+    return Transitions(states=rng.normal(size=(n, 4)), actions=rng.integers(3, size=n),
+                       rewards=rng.normal(size=n), next_states=rng.normal(size=(n, 4)),
+                       done=rng.random(n) < 0.2)
 
 
 def test_train_step_targets_match_scalar_rule():
     agent = make_agent()
     rng = np.random.default_rng(2)
     exps = batch(rng)
-    next_q = forward(agent.target, np.array([e.next_state for e in exps])).max(axis=1)
+    next_q = forward(agent.target, exps.next_states).max(axis=1)
     want = np.array([
-        dqn_target(e.reward, agent.cfg.discount, float(q), e.done)
-        for e, q in zip(exps, next_q)
+        dqn_target(float(r), agent.cfg.discount, float(q), bool(d))
+        for r, q, d in zip(exps.rewards, next_q, exps.done)
     ])
     got = agent._targets_for(exps)
     assert np.allclose(got, want, rtol=0, atol=0)
@@ -100,10 +95,10 @@ def test_learns_trivial_bandit():
     rewards = [0.0, 1.0, 0.2]
     state = (0.5, -0.5)
     rng = np.random.default_rng(5)
-    pool = [Experience(state=state, action=a, reward=rewards[a],
-                       next_state=state, done=True) for a in range(3)]
+    pool = Transitions(np.array([state] * 3), np.arange(3), np.array(rewards),
+                       np.array([state] * 3), np.ones(3, dtype=bool))
     for _ in range(300):
-        agent.train_step([pool[int(rng.integers(3))] for _ in range(8)])
+        agent.train_step(pool[[int(rng.integers(3)) for _ in range(8)]])
     assert agent.greedy(np.array(state)) == 1
     q = forward(agent.online, np.array(state))
     assert np.allclose(q, rewards, atol=0.15)

@@ -223,11 +223,13 @@ def test_every_constructor_binds_views_into_flat():
     loaded, _ = policy_from_doc(json.loads(json.dumps(policy_to_doc(net))))
     agent = DqnAgent(4, 3, DqnConfig(hidden_sizes=(6, 5)), rng=0)
     agent.set_online(net)
+    unpacked = NetworkParams.from_flat(net.layer_sizes, net.flat, "tanh")
     for made in (net, hand_net(), net.copy(), sync_target(net), loaded,
-                 pickle.loads(pickle.dumps(net)), agent.online, agent.target):
+                 pickle.loads(pickle.dumps(net)), agent.online, agent.target, unpacked):
         assert_views_of_flat(made)
         assert made.flat.ndim == 1 and made.flat.flags.c_contiguous
-    for made in (net.copy(), loaded, pickle.loads(pickle.dumps(net)), agent.online):
+    for made in (net.copy(), loaded, pickle.loads(pickle.dumps(net)), agent.online,
+                 unpacked):
         assert made.flat.tobytes() == net.flat.tobytes()
 
 
@@ -243,10 +245,25 @@ def test_write_through_a_view_shows_in_flat():
 
 def test_copies_share_no_memory_with_their_source():
     net = NetworkParams.glorot((3, 4, 2), rng=1)
-    for other in (net.copy(), sync_target(net), pickle.loads(pickle.dumps(net))):
+    for other in (net.copy(), sync_target(net), pickle.loads(pickle.dumps(net)),
+                  NetworkParams.from_flat(net.layer_sizes, net.flat)):
         assert not np.shares_memory(other.flat, net.flat)
         other.flat += 1.0
         assert not np.array_equal(other.flat, net.flat)
+
+
+def test_equality_is_by_sizes_activation_and_bytes():
+    net = NetworkParams.glorot((3, 4, 2), rng=0)
+    assert net == net.copy() == pickle.loads(pickle.dumps(net))
+    assert net != NetworkParams.glorot((3, 4, 2), rng=1)
+    assert net != NetworkParams(net.layer_sizes, net.weights, net.biases, "tanh")
+    for byte in (0, 40, net.flat.nbytes - 1):
+        flipped = net.copy()
+        flipped.flat.view(np.uint8)[byte] ^= 1
+        assert net != flipped
+    zero, negative_zero = hand_net(), hand_net()
+    zero.biases[-1][0], negative_zero.biases[-1][0] = 0.0, -0.0
+    assert np.array_equal(zero.flat, negative_zero.flat) and zero != negative_zero
 
 
 def test_optimizer_step_on_unpickled_copy_changes_forward():

@@ -1,7 +1,14 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
-from reinfog.replay import Experience, RandomReplayBuffer, ReservoirReplayBuffer
+from reinfog.replay import (
+    Experience,
+    RandomReplayBuffer,
+    ReservoirReplayBuffer,
+    Transitions,
+)
 
 
 def exp(i: int) -> Experience:
@@ -9,20 +16,41 @@ def exp(i: int) -> Experience:
                       next_state=(float(i + 1),), done=False)
 
 
+def rows(start: int, stop: int) -> Transitions:
+    """Transitions numbered start..stop-1, in the pattern of exp()."""
+    i = np.arange(start, stop)
+    return Transitions(i[:, None].astype(float), i % 3, i.astype(float),
+                       i[:, None] + 1.0, i % 4 == 0)
+
+
+class DequeReplay:
+    """The FIFO buffer the ring replaced: a deque of rows, sampled by the same call."""
+
+    def __init__(self, capacity: int) -> None:
+        self.data: deque[Transitions] = deque(maxlen=capacity)
+
+    def push(self, batch: Transitions) -> None:
+        self.data.extend(batch[i:i + 1] for i in range(len(batch)))
+
+    def sample(self, k: int, rng: np.random.Generator) -> Transitions:
+        idx = rng.choice(len(self.data), size=k, replace=False)
+        return Transitions.concat([self.data[i] for i in idx])
+
+
 def test_fifo_eviction_order():
     buf = RandomReplayBuffer(capacity=3)
     for i in range(5):
-        buf.push(exp(i))
+        buf.push(rows(i, i + 1))
     assert len(buf) == 3
-    kept = sorted(e.action for e in buf.sample(3, np.random.default_rng(0)))
-    rewards = sorted(e.reward for e in buf.sample(3, np.random.default_rng(0)))
+    kept = sorted(buf.sample(3, np.random.default_rng(0)).actions)
+    rewards = sorted(buf.sample(3, np.random.default_rng(0)).rewards)
     assert rewards == [2.0, 3.0, 4.0]
     assert kept == sorted(e % 3 for e in (2, 3, 4))
 
 
 def test_sample_too_many_raises():
     buf = RandomReplayBuffer(capacity=4)
-    buf.push(exp(0))
+    buf.push(rows(0, 1))
     with pytest.raises(ValueError):
         buf.sample(2, np.random.default_rng(0))
     with pytest.raises(ValueError):
@@ -31,25 +59,78 @@ def test_sample_too_many_raises():
 
 def test_sample_without_replacement():
     buf = RandomReplayBuffer(capacity=8)
-    for i in range(8):
-        buf.push(exp(i))
+    buf.push(rows(0, 8))
     got = buf.sample(8, np.random.default_rng(1))
-    assert sorted(e.reward for e in got) == [float(i) for i in range(8)]
+    assert sorted(got.rewards) == [float(i) for i in range(8)]
 
 
 def test_sample_uniformity():
     buf = RandomReplayBuffer(capacity=10)
-    for i in range(10):
-        buf.push(exp(i))
+    buf.push(rows(0, 10))
     rng = np.random.default_rng(2)
     counts = np.zeros(10)
     draws = 4000
     for _ in range(draws):
-        counts[int(buf.sample(1, rng)[0].reward)] += 1
+        counts[int(buf.sample(1, rng).rewards[0])] += 1
     # binomial p=0.1: sd = sqrt(n p (1-p)) ~ 19, allow 3 sigma
     expected = draws / 10
     sigma = np.sqrt(draws * 0.1 * 0.9)
     assert np.all(np.abs(counts - expected) <= 3 * sigma + 1)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 7])
+def test_ring_samples_what_a_deque_samples(batch):
+    # capacity 5, 23 rows pushed in batches: after every push the ring holds
+    # the deque's rows and, from generators of one seed, samples the same
+    ring, oracle = RandomReplayBuffer(5), DequeReplay(5)
+    rng_ring, rng_oracle = np.random.default_rng(3), np.random.default_rng(3)
+    for start in range(0, 23, batch):
+        pushed = rows(start, min(start + batch, 23))
+        ring.push(pushed)
+        oracle.push(pushed)
+        assert len(ring) == len(oracle.data)
+        for k in range(1, len(ring) + 1):
+            assert ring.sample(k, rng_ring) == oracle.sample(k, rng_oracle)
+    assert rng_ring.bit_generator.state == rng_oracle.bit_generator.state
+    assert sorted(ring.sample(5, rng_ring).rewards) == [18.0, 19.0, 20.0, 21.0, 22.0]
+
+
+def test_push_longer_than_the_ring_keeps_its_tail():
+    ring = RandomReplayBuffer(4)
+    ring.push(rows(0, 3))
+    ring.push(rows(3, 13))
+    assert len(ring) == 4
+    assert sorted(ring.sample(4, np.random.default_rng(0)).rewards) == [9.0, 10.0, 11.0, 12.0]
+
+
+def test_transitions_check_dtypes_and_shapes():
+    good = rows(0, 3)
+    with pytest.raises(ValueError, match="actions must be a int64 array, got float64"):
+        Transitions(good.states, good.actions.astype(float), good.rewards,
+                    good.next_states, good.done)
+    with pytest.raises(ValueError, match="actions must be a int64 array, got bool"):
+        Transitions(good.states, good.done, good.rewards, good.next_states, good.done)
+    with pytest.raises(ValueError, match="ragged"):
+        Transitions(good.states, good.actions, good.rewards, good.next_states[:2],
+                    good.done)
+    with pytest.raises(ValueError, match="ragged"):
+        Transitions(good.states[0], good.actions, good.rewards, good.next_states[0],
+                    good.done)
+
+
+def test_transitions_equality_is_by_value():
+    a = rows(0, 6)
+    b = Transitions(*(np.array(getattr(a, f), copy=True)
+                      for f in ("states", "actions", "rewards", "next_states", "done")))
+    assert a == b and a is not b
+    assert a[1:4] == b[np.array([1, 2, 3])]
+    assert a != a[:5]
+    flipped = b.next_states.view(np.uint8)
+    flipped[-1, 0] ^= 1  # one bit of the last next state
+    assert a != b
+    negative_zero = rows(0, 6)
+    negative_zero.rewards[0] = -0.0
+    assert negative_zero != a  # bytes, not float ==
 
 
 def test_reservoir_fills_then_holds_capacity():

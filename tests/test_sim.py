@@ -325,7 +325,7 @@ def test_run_episode_single_task():
     dag = AppDag(0, (Task(0, 1000.0, 1.0, 1.0),))
     res = run_episode(cluster, [dag], lambda s: 0)
     assert len(res.steps) == 1
-    assert res.steps[0].done
+    assert res.steps.done.tolist() == [True]
     # self-normalized: the only task carries the whole baseline
     assert res.rewards[0] == pytest.approx(-1.0)
     assert res.total_wc == pytest.approx(1.0)
@@ -353,9 +353,8 @@ def test_run_episode_metric_consistency_and_determinism():
     assert a == b
     assert a.total_rt == response_time(workload, a.configs)
     assert a.total_ec == energy_consumption(a.configs)
-    for step, reward in zip(a.steps, a.rewards):
-        assert step.reward == reward
-        assert reward <= 0.0
+    assert a.steps.rewards.tolist() == list(a.rewards)
+    assert all(reward <= 0.0 for reward in a.rewards)
 
 
 def test_failed_steps_earn_exactly_the_penalty():
@@ -600,9 +599,10 @@ def test_poisson_releases():
 
 
 # --- outputs pinned bit for bit ---------------------------------------------
-# sha256 of repr() of every schedule, reward, transition and offline replay on
-# four generated cases. repr() of a float round-trips exactly, so any change in
-# the timing rule, the task physics or the decision order changes a digest.
+# sha256 of repr() of every schedule, reward and offline replay, then of the
+# raw bytes of every transition, on four generated cases. repr() of a float
+# round-trips exactly, so any change in the timing rule, the task physics or
+# the decision order changes a digest.
 
 def _pinned_cluster(rng: np.random.Generator, n: int, mem: float) -> ClusterSpec:
     nodes = tuple(Node(i, float(rng.uniform(500.0, 2000.0)),
@@ -643,23 +643,27 @@ def _pinned_case(seed: int, n: int, apps: int, tasks: int, density: float,
     choices = {dag.id: {t.id: int(rng.integers(n)) for t in dag.tasks}
                for dag in workload}
     offline = simulate_workload(cluster, workload, choices, releases, origin)
-    out = repr((spec, greedy, rr, episode, unscaled, offline))
-    return hashlib.sha256(out.encode()).hexdigest()
+    results = tuple(replace(r, steps=None) for r in (greedy, rr, episode, unscaled))
+    digest = hashlib.sha256(repr((spec, *results, offline)).encode())
+    for t in (episode.steps, unscaled.steps):
+        digest.update(b"".join(a.tobytes() for a in (t.states, t.next_states, t.actions,
+                                                      t.rewards, t.done)))
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("case, digest", [
     (dict(seed=0, n=3, apps=2, tasks=8, density=0.0, mem=1024.0, rate=None,
           deadlines=False, shuffle=False, origin=USER),
-     "f8fa7b6fb62448dc40346603f58d31839cac1663656041769d393732283e49f8"),
+     "c7561a460a186ac3ab0aedea0259ac701b6d540f41ba8e086584b57d4e1c9a61"),
     (dict(seed=1, n=4, apps=3, tasks=12, density=0.5, mem=120.0, rate=2.0,
           deadlines=True, shuffle=False, origin=USER),
-     "82e7d9a93efb0f0f10f7a87e1665e9aead6810941232e20c5f77feab390e96d1"),
+     "903d4c0a73ecb61294c7dfcf0c963945a6f2003a0860f94a82a312c83e4f4946"),
     (dict(seed=2, n=5, apps=2, tasks=10, density=1.0, mem=60.0, rate=0.5,
           deadlines=False, shuffle=True, origin=USER),
-     "cfbe7923d42995f3b35b7958ee8ec4d84b680fae84b4f65f02a608f83bf95303"),
+     "0ddd85ae36dce2bb88cfae5838a1dd75499193c68a8cf883c74af11df5066554"),
     (dict(seed=3, n=4, apps=3, tasks=9, density=0.5, mem=200.0, rate=1.0,
           deadlines=True, shuffle=True, origin=1),
-     "0dc0d30b9c7186f340d6e638ca01217d7ee46c5743e71368af9f90286a9252cb"),
+     "4eb4269f778a9c2dd6b084e2b38f383342f2d717285b4a40cd93c3038a6e1dd2"),
 ])
 def test_simulator_outputs_pinned(case, digest):
     assert _pinned_case(**case) == digest
