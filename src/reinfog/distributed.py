@@ -106,8 +106,9 @@ def _take_batches(pending: list[Transitions], size: int,
 
 def _batch_fault(batch: Transitions, state_dim: int, n_actions: int) -> str | None:
     """Why a received batch is unfit to train on, naming the first bad row
-    by its index; None when every row is fit. The type already holds float64
-    states and int64 actions of one shape; each check is one array pass."""
+    by its index; None when every row is fit. `Transitions` already holds
+    the dtypes (int64 actions) and consistent shapes; the state width, the
+    action range and finiteness are each checked in one array pass."""
     dim = batch.states.shape[1]
     if dim != state_dim:
         return f"state lengths {dim}, expected {state_dim}"

@@ -105,10 +105,9 @@ def _transitions_from(doc: dict, body) -> Transitions:
                              f"says {rows * (16 * dim + 17)}")
     arrays, offset = {}, 0
     for name, dtype, wide in _BODY:
-        raw = np.frombuffer(body, dtype, rows * dim if wide else rows, offset)
+        raw = np.ndarray((rows, dim) if wide else (rows,), dtype, body, offset)
         offset += raw.nbytes
-        arrays[name] = raw.astype(raw.dtype.newbyteorder("="), copy=False) \
-            .reshape((rows, dim) if wide else rows)
+        arrays[name] = raw.astype(raw.dtype.newbyteorder("="), copy=False)
     if (arrays["done"].view(np.uint8) > 1).any():
         raise MalformedFrame("done flags must be bytes 0 or 1")
     return Transitions(**arrays)

@@ -3,6 +3,7 @@ are sampled from, and a reservoir-sampled buffer of single records."""
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -68,11 +69,20 @@ _FIELDS = ("states", "actions", "rewards", "next_states", "done")
 _DTYPES = tuple(map(np.dtype, ("float64", "int64", "float64", "float64", "bool")))
 
 
+def _on_demand(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """A zeroed array on an anonymous memory map, so that pages never
+    written take no memory and every page goes back to the system with it."""
+    count = int(np.prod(shape))
+    return np.frombuffer(mmap.mmap(-1, max(count * dtype.itemsize, 1)), dtype,
+                         count).reshape(shape)
+
+
 class RandomReplayBuffer:
     """FIFO ring of the most recent transitions, sampled uniformly.
 
-    Preallocated arrays, sized at the first push; logical row 0 is the
-    oldest kept, and a push writes at most two slices per array.
+    Arrays of `capacity` rows, allocated at the first push on demand-paged
+    memory; logical row 0 is the oldest kept, and a push writes at most two
+    slices per array.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -86,7 +96,7 @@ class RandomReplayBuffer:
     def push(self, batch: Transitions) -> None:
         cap, at = self.capacity, self._next
         if self._rows is None:
-            self._rows = Transitions(*(np.empty((cap, *getattr(batch, n).shape[1:]), dtype)
+            self._rows = Transitions(*(_on_demand((cap, *getattr(batch, n).shape[1:]), dtype)
                                        for n, dtype in zip(_FIELDS, _DTYPES)))
         batch = batch[len(batch) - cap:] if len(batch) > cap else batch
         k = len(batch)
