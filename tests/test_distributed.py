@@ -4,7 +4,6 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,6 +43,7 @@ from reinfog.sim import (
     uniform_cluster,
 )
 from test_network import PerTensorAdam
+from test_protocol import v2_frame
 
 CLUSTER = uniform_cluster(2, latency_s=0.0)
 WORKLOAD = generate_workload(1, 4, rng=0, density=0.5)
@@ -348,13 +348,6 @@ def test_non_integer_actions_are_refused_when_the_batch_is_built(action):
                     GOOD.done)
 
 
-def _frame(header: dict, body: bytes = b"", declared: int | None = None) -> bytes:
-    """A protocol-2 frame by hand; `declared` overrides the payload length."""
-    head = json.dumps(header).encode()
-    length = 4 + len(head) + len(body) if declared is None else declared
-    return struct.pack(">II", length, len(head)) + head + body
-
-
 _V1_HELLO = json.dumps({"type": "worker_hello", "worker_id": "old",
                         "protocol_version": "1"}).encode()
 _BATCH = {"type": "experience_batch", "worker_id": "w0", "seq": 1, "rows": 1,
@@ -364,9 +357,8 @@ _ROW = 16 * STATE_DIM + 17
 
 @pytest.mark.parametrize("after_hello, who, why", [
     # the body is cut short and the worker closes mid-frame
-    (_frame(_BATCH, bytes(_ROW - 8), declared=4 + len(json.dumps(_BATCH)) + _ROW),
-     "w0", "TruncatedFrame: connection closed"),
-    (_frame(_BATCH, bytes(_ROW + 8)), "w0",
+    (v2_frame(_BATCH, bytes(_ROW))[:-8], "w0", "TruncatedFrame: connection closed"),
+    (v2_frame(_BATCH, bytes(_ROW + 8)), "w0",
      f"MalformedFrame: experience_batch body of {_ROW + 8} bytes, header says {_ROW}"),
     (None, "127.0.0.1:", "MalformedFrame: payload of"),
 ])
