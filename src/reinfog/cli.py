@@ -13,13 +13,16 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
+import math
 import os
 import statistics
 import sys
 import threading
 import time
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from typing import TypeVar
 
 import numpy as np
 
@@ -50,8 +53,7 @@ from .placement import (
 )
 from .sim import (
     ClusterSpec,
-    LinkSpec,
-    USER,
+    RewardSpec,
     baseline_greedy,
     baseline_round_robin,
     generate_workload,
@@ -59,7 +61,11 @@ from .sim import (
     make_reward_spec,
     poisson_releases,
     run_episode,
+    state_dim,
+    uniform_cluster,
 )
+
+T = TypeVar("T")
 
 
 class CliError(Exception):
@@ -78,58 +84,106 @@ class _Parser(argparse.ArgumentParser):
 # configuration
 
 
-class Config:
-    """Flat JSON config with dotted module.param keys; CLI flags win."""
+_SEARCH_RUNNERS: dict[str, Callable[..., PlacementResult]] = {
+    "madcp": madcp_run,
+    "ga": ga_run,
+    "fa": fa_run,
+    "pso": pso_run,
+}
+# each section's keys are the fields of its dataclass that have a default
+_SECTIONS: dict[str, type] = {"dqn": DqnConfig, "sync": SyncConfig, "train": RewardSpec,
+                              **dict.fromkeys(_SEARCH_RUNNERS, PlacementParams)}
+_PLAIN_KEYS = {
+    "int": ("place.m", "place.n", "sim.apps", "sim.tasks_per_app", "sim.layers",
+            "train.episodes", "dist.max_updates", "bench.generations", "bench.m", "bench.n"),
+    "float": ("place.slack", "sim.density", "sim.arrival_rate"),
+    "str": ("place.instance", "place.algorithms", "sim.cluster", "sim.workload",
+            "simulate.baseline", "simulate.policy", "bench.populations"),
+}
 
-    def __init__(self, values: dict[str, object] | None = None) -> None:
-        self.values = dict(values or {})
 
-    @classmethod
-    def load(cls, path: str) -> "Config":
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise CliError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise CliError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise CliError(f"config {path} must hold a JSON object")
-        for key in doc:
-            if not isinstance(key, str) or "." not in key:
-                raise CliError(f"config key {key!r} is not of the form module.param")
-        return cls(doc)
+def _settable(cls: type) -> list[dataclasses.Field]:
+    return [f for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING]
 
-    def get(self, key: str, default: object = None) -> object:
-        return self.values.get(key, default)
 
-    def get_int(self, key: str, default: int | None = None) -> int | None:
-        v = self.values.get(key, default)
-        if v is None:
-            return None
-        try:
-            if isinstance(v, float) and v != int(v):
-                raise ValueError
-            return int(v)
-        except (TypeError, ValueError):
-            raise CliError(f"config key {key} must be an integer, got {v!r}") from None
+def _number(key: str, v: object) -> int | float:
+    try:
+        if not isinstance(v, bool) and math.isfinite(v):
+            return v
+    except (TypeError, OverflowError):
+        pass
+    raise CliError(f"config key {key} must be a finite number, got {v!r}")
 
-    def get_float(self, key: str, default: float | None = None) -> float | None:
-        v = self.values.get(key, default)
-        if v is None:
-            return None
-        try:
-            return float(v)
-        except (TypeError, ValueError):
-            raise CliError(f"config key {key} must be a number, got {v!r}") from None
 
-    def get_str(self, key: str, default: str | None = None) -> str | None:
-        v = self.values.get(key, default)
-        if v is None:
-            return None
-        if not isinstance(v, str):
-            raise CliError(f"config key {key} must be a string, got {v!r}")
-        return v
+def _as_int(key: str, v: object) -> int:
+    v = _number(key, v)
+    if v != int(v):
+        raise CliError(f"config key {key} must be an integer, got {v!r}")
+    return int(v)
+
+
+def _as_str(key: str, v: object) -> str:
+    if not isinstance(v, str):
+        raise CliError(f"config key {key} must be a string, got {v!r}")
+    return v
+
+
+def _as_ints(key: str, v: object) -> tuple[int, ...]:
+    if not isinstance(v, list) or any(isinstance(h, bool) or not isinstance(h, int)
+                                      for h in v):
+        raise CliError(f"config key {key} must be a JSON list of integers, got {v!r}")
+    return tuple(v)
+
+
+# field type, as the dataclasses spell it -> the check that gives a value that type
+_CHECKS: dict[str, Callable[[str, object], object]] = {
+    "int": _as_int, "int | None": _as_int, "str": _as_str, "tuple[int, ...]": _as_ints,
+    "float": lambda key, v: float(_number(key, v)),
+}
+CONFIG_KEYS: dict[str, Callable[[str, object], object]] = {
+    **{key: _CHECKS[kind] for kind, keys in _PLAIN_KEYS.items() for key in keys},
+    **{f"{prefix}.{f.name}": _CHECKS[f.type]
+       for prefix, cls in _SECTIONS.items() for f in _settable(cls)},
+}
+
+
+Config = dict[str, object]
+
+
+def load_config(path: str) -> Config:
+    """Flat JSON config with dotted module.param keys; CLI flags win.
+
+    Every key must be one of CONFIG_KEYS and its value of that key's type:
+    numbers finite and not booleans, integers integral. null leaves the
+    default in place.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise CliError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CliError(f"config {path} must hold a JSON object")
+    cfg: Config = {}
+    for key, v in doc.items():
+        if key not in CONFIG_KEYS:
+            raise CliError(f"unknown config key {key!r}")
+        if v is not None:
+            cfg[key] = CONFIG_KEYS[key](key, v)
+    return cfg
+
+
+def _section(cfg: Config, prefix: str, cls: type, build: Callable[..., T] | None = None) -> T:
+    """`build` (by default `cls`) called with the config's `prefix.<field>` values."""
+    given = {f.name: cfg[f"{prefix}.{f.name}"] for f in _settable(cls)
+             if f"{prefix}.{f.name}" in cfg}
+    try:
+        return (build or cls)(**given)
+    except ValueError as exc:
+        keys = ", ".join(f"{prefix}.{name}" for name in given)
+        raise CliError(f"{exc} (config keys {keys})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +231,11 @@ def _default_cluster() -> ClusterSpec:
         Node(1, compute_cap=1000.0, mem_avail=1024.0, power_draw=60.0),
         Node(2, compute_cap=400.0, mem_avail=512.0, power_draw=140.0),
     )
-    ids = [n.id for n in nodes] + [USER]
-    links = {}
-    for a in ids:
-        for b in ids:
-            if a != b:
-                links[(a, b)] = LinkSpec(latency_s=0.01, bandwidth_mbps=100.0)
-    return ClusterSpec(nodes, links)
+    return ClusterSpec(nodes, uniform_cluster(len(nodes)).links)
 
 
 def _resolve_cluster(cfg: Config) -> ClusterSpec:
-    path = cfg.get_str("sim.cluster")
+    path = cfg.get("sim.cluster")
     if path is None:
         return _default_cluster()
     if not os.path.exists(path):
@@ -215,121 +263,59 @@ def _load_workload(path: str) -> tuple[list[AppDag], dict[int, float] | None]:
 
 
 def _resolve_workload(cfg: Config, seed: int) -> tuple[list[AppDag], dict[int, float] | None]:
-    path = cfg.get_str("sim.workload")
+    path = cfg.get("sim.workload")
     if path is not None:
         if not os.path.exists(path):
             raise CliError(f"workload file not found: {path}")
         return _load_workload(path)
-    apps = cfg.get_int("sim.apps", 4)
-    tasks = cfg.get_int("sim.tasks_per_app", 5)
-    density = cfg.get_float("sim.density", 0.5)
-    layers = cfg.get_int("sim.layers")
+    apps = cfg.get("sim.apps", 4)
+    tasks = cfg.get("sim.tasks_per_app", 5)
     if apps < 1 or tasks < 1:
         raise CliError("sim.apps and sim.tasks_per_app must be positive")
     workload = generate_workload(apps, tasks, rng=np.random.default_rng([seed, 101]),
-                                 layers=layers, density=density)
-    rate = cfg.get_float("sim.arrival_rate")
+                                 layers=cfg.get("sim.layers"),
+                                 density=cfg.get("sim.density", 0.5))
+    rate = cfg.get("sim.arrival_rate")
     releases = None
     if rate is not None:
         releases = poisson_releases(workload, rate, np.random.default_rng([seed, 102]))
     return workload, releases
 
 
-def _dqn_config(cfg: Config) -> DqnConfig:
-    kwargs: dict[str, object] = {}
-    hidden = cfg.get("dqn.hidden_sizes")
-    if hidden is not None:
-        if not isinstance(hidden, list) or not all(isinstance(h, int) for h in hidden):
-            raise CliError("dqn.hidden_sizes must be a JSON list of integers")
-        kwargs["hidden_sizes"] = tuple(hidden)
-    for name in ("learning_rate", "discount", "eps_start", "eps_end"):
-        v = cfg.get_float(f"dqn.{name}")
-        if v is not None:
-            kwargs[name] = v
-    for name in ("eps_decay_steps", "buffer_capacity", "batch_size",
-                 "target_sync_interval"):
-        v = cfg.get_int(f"dqn.{name}")
-        if v is not None:
-            kwargs[name] = v
-    for name in ("activation", "optimizer"):
-        v = cfg.get_str(f"dqn.{name}")
-        if v is not None:
-            kwargs[name] = v
-    try:
-        return DqnConfig(**kwargs)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+def _sim_inputs(cfg: Config, seed: int):
+    """Cluster, workload, releases and the `train.` reward spec."""
+    cluster = _resolve_cluster(cfg)
+    workload, releases = _resolve_workload(cfg, seed)
+    # the round-robin baselines do not depend on the reward settings
+    base = make_reward_spec(cluster, workload, releases=releases)
+    spec = _section(cfg, "train", RewardSpec, functools.partial(dataclasses.replace, base))
+    return cluster, workload, releases, spec
 
 
-def _sync_config(cfg: Config) -> SyncConfig:
-    kwargs: dict[str, int] = {}
-    for name in ("sync_interval", "batch_flush"):
-        v = cfg.get_int(f"sync.{name}")
-        if v is not None:
-            kwargs[name] = v
-    try:
-        return SyncConfig(**kwargs)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
-def _reward_settings(cfg: Config) -> dict[str, object]:
-    metric = cfg.get_str("train.metric", "weighted_cost")
-    if metric not in ("weighted_cost", "response_time", "energy"):
-        raise CliError(f"unknown train.metric {metric!r}")
-    return {
-        "metric": metric,
-        "failure_penalty": cfg.get_float("train.failure_penalty", -2.0),
-        "w1": cfg.get_float("train.w1", 0.5),
-        "w2": cfg.get_float("train.w2", 0.5),
-    }
+def _train_inputs(args: argparse.Namespace, cfg: Config):
+    """_sim_inputs, then the episode count and the DQN and sync settings."""
+    episodes = cfg.get("train.episodes", 30) if args.episodes is None else args.episodes
+    if episodes < 0:
+        raise CliError("episodes must be non-negative")
+    return (*_sim_inputs(cfg, args.seed), episodes, _section(cfg, "dqn", DqnConfig),
+            _section(cfg, "sync", SyncConfig))
 
 
 # ---------------------------------------------------------------------------
 # place
 
 
-_SEARCH_RUNNERS: dict[str, Callable[..., PlacementResult]] = {
-    "madcp": madcp_run,
-    "ga": ga_run,
-    "fa": fa_run,
-    "pso": pso_run,
-}
-_PARAM_INT_FIELDS = ("population_size", "generations", "num_operations")
-_PARAM_FLOAT_FIELDS = ("crossover_rate", "mutation_rate", "fa_alpha", "fa_beta",
-                       "fa_gamma", "pso_w", "pso_c1", "pso_c2", "penalty_lambda")
-
-
-def _params_for(alg: str, cfg: Config) -> PlacementParams | None:
-    if alg == "random":
-        return None
-    base: PlacementParams = getattr(PlacementParams, alg)()
-    overrides: dict[str, object] = {}
-    for name in _PARAM_INT_FIELDS:
-        v = cfg.get_int(f"{alg}.{name}")
-        if v is not None:
-            overrides[name] = v
-    for name in _PARAM_FLOAT_FIELDS:
-        v = cfg.get_float(f"{alg}.{name}")
-        if v is not None:
-            overrides[name] = v
-    try:
-        return dataclasses.replace(base, **overrides) if overrides else base
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
 def _resolve_instance(cfg: Config, rng: np.random.Generator):
-    path = cfg.get_str("place.instance")
+    path = cfg.get("place.instance")
     if path is not None:
         if not os.path.exists(path):
             raise CliError(f"instance file not found: {path}")
         return load_instance(path)
-    m = cfg.get_int("place.m", 6)
-    n = cfg.get_int("place.n", 4)
+    m = cfg.get("place.m", 6)
+    n = cfg.get("place.n", 4)
     if m < 1 or n < 1:
         raise CliError("place.m and place.n must be positive")
-    return random_instance(m, n, rng=rng, slack=cfg.get_float("place.slack", 2.0))
+    return random_instance(m, n, rng=rng, slack=cfg.get("place.slack", 2.0))
 
 
 def _trace_rows(result: PlacementResult, timing: bool) -> list[tuple]:
@@ -341,7 +327,7 @@ def _trace_rows(result: PlacementResult, timing: bool) -> list[tuple]:
 
 
 def cmd_place(args: argparse.Namespace, cfg: Config) -> int:
-    raw = args.algorithms or cfg.get_str("place.algorithms", "madcp,ga,fa,pso")
+    raw = args.algorithms or cfg.get("place.algorithms", "madcp,ga,fa,pso")
     algorithms = [a.strip() for a in raw.split(",") if a.strip()]
     known = set(_SEARCH_RUNNERS) | {"random"}
     for alg in algorithms:
@@ -351,14 +337,15 @@ def cmd_place(args: argparse.Namespace, cfg: Config) -> int:
         raise CliError("no algorithms selected")
 
     fixed = None
-    if cfg.get_str("place.instance") is not None:
+    if cfg.get("place.instance") is not None:
         fixed = _resolve_instance(cfg, np.random.default_rng(args.seed))
 
     header = ("generation", "best_fitness", "best_F", "feasible", "elapsed_ms")
     summary_rows: list[tuple] = []
     wall_meta: dict[str, object] = {}
     for alg in algorithms:
-        params = _params_for(alg, cfg)
+        params = None if alg == "random" else _section(
+            cfg, alg, PlacementParams, getattr(PlacementParams, alg))
         finals: list[float] = []
         feasible_count = 0
         t0 = time.perf_counter()
@@ -396,16 +383,7 @@ def cmd_place(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_train(args: argparse.Namespace, cfg: Config) -> int:
-    cluster = _resolve_cluster(cfg)
-    workload, releases = _resolve_workload(cfg, args.seed)
-    episodes = cfg.get_int("train.episodes", 30) if args.episodes is None else args.episodes
-    if episodes < 0:
-        raise CliError("episodes must be non-negative")
-    dqn_cfg = _dqn_config(cfg)
-    sync = _sync_config(cfg)
-    spec = make_reward_spec(cluster, workload, releases=releases,
-                            **_reward_settings(cfg))
-
+    cluster, workload, releases, spec, episodes, dqn_cfg, sync = _train_inputs(args, cfg)
     t0 = time.perf_counter()
     result = centralized_mode(cluster, workload, episodes, dqn_cfg=dqn_cfg,
                               sync=sync, reward_spec=spec, releases=releases,
@@ -422,7 +400,7 @@ def cmd_train(args: argparse.Namespace, cfg: Config) -> int:
     policy_path = os.path.join(args.out, "policy.json")
     save_policy(result.policy, policy_path,
                 metadata={"episodes": episodes, "updates": result.updates,
-                          "state_dim": 3 * cluster.n + 4, "n_actions": cluster.n})
+                          "state_dim": state_dim(cluster.n), "n_actions": cluster.n})
     if result.trace:
         print(f"train: {episodes} episodes, {result.updates} updates, "
               f"final wc {result.trace[-1].total_wc:.4f}")
@@ -443,26 +421,16 @@ def _listen_endpoint(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_train_dist(args: argparse.Namespace, cfg: Config) -> int:
-    cluster = _resolve_cluster(cfg)
-    workload, releases = _resolve_workload(cfg, args.seed)
-    episodes = cfg.get_int("train.episodes", 30) if args.episodes is None else args.episodes
-    if episodes < 0:
-        raise CliError("episodes must be non-negative")
-    dqn_cfg = _dqn_config(cfg)
-    sync = _sync_config(cfg)
-    spec = make_reward_spec(cluster, workload, releases=releases,
-                            **_reward_settings(cfg))
-    max_updates = cfg.get_int("dist.max_updates")
+    cluster, workload, releases, spec, episodes, dqn_cfg, sync = _train_inputs(args, cfg)
     try:
         host, port = _listen_endpoint(args)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    state_dim, n_actions = 3 * cluster.n + 4, cluster.n
+    dims = {"state_dim": state_dim(cluster.n), "n_actions": cluster.n}
     t0 = time.perf_counter()
-    learner = Learner(state_dim, n_actions, cfg=dqn_cfg, sync=sync,
-                      seed=args.seed, host=host, port=port,
-                      max_updates=max_updates,
+    learner = Learner(**dims, cfg=dqn_cfg, sync=sync, seed=args.seed, host=host, port=port,
+                      max_updates=cfg.get("dist.max_updates"),
                       expected_workers=args.workers).start()
     reports: dict[str, WorkerReport] = {}
 
@@ -503,8 +471,7 @@ def cmd_train_dist(args: argparse.Namespace, cfg: Config) -> int:
 
     policy_path = os.path.join(args.out, "policy.json")
     save_policy(learner.agent.online, policy_path,
-                metadata={"workers": args.workers, "updates": learner.updates,
-                          "state_dim": state_dim, "n_actions": n_actions})
+                metadata={"workers": args.workers, "updates": learner.updates, **dims})
     print(f"train-dist: {args.workers} workers, {sent} experiences, "
           f"{learner.updates} updates, policy version {learner.policy_version}")
     print(f"wrote {dist_path}")
@@ -523,11 +490,11 @@ def _policy_from_file(path: str, cluster: ClusterSpec) -> Callable[[np.ndarray],
         params, _ = load_policy(path)
     except Exception as exc:
         raise CliError(f"cannot load policy {path}: {exc}") from exc
-    state_dim, n_actions = 3 * cluster.n + 4, cluster.n
-    if params.layer_sizes[0] != state_dim or params.layer_sizes[-1] != n_actions:
+    inputs = state_dim(cluster.n)
+    if params.layer_sizes[0] != inputs or params.layer_sizes[-1] != cluster.n:
         raise CliError(
             f"policy shape {params.layer_sizes} does not fit a {cluster.n}-node "
-            f"cluster (needs {state_dim} inputs, {n_actions} outputs)")
+            f"cluster (needs {inputs} inputs, {cluster.n} outputs)")
 
     def act(state: np.ndarray) -> int:
         q = forward(params, np.asarray(state, dtype=float))
@@ -537,13 +504,9 @@ def _policy_from_file(path: str, cluster: ClusterSpec) -> Callable[[np.ndarray],
 
 
 def cmd_simulate(args: argparse.Namespace, cfg: Config) -> int:
-    cluster = _resolve_cluster(cfg)
-    workload, releases = _resolve_workload(cfg, args.seed)
-    spec = make_reward_spec(cluster, workload, releases=releases,
-                            **_reward_settings(cfg))
-
-    baseline = args.baseline or cfg.get_str("simulate.baseline")
-    policy_path = args.policy or cfg.get_str("simulate.policy")
+    cluster, workload, releases, spec = _sim_inputs(cfg, args.seed)
+    baseline = args.baseline or cfg.get("simulate.baseline")
+    policy_path = args.policy or cfg.get("simulate.policy")
     if policy_path is not None and baseline is not None:
         raise CliError("give either a policy file or a baseline, not both")
 
@@ -636,16 +599,16 @@ def cmd_oracle(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_bench(args: argparse.Namespace, cfg: Config) -> int:
-    raw = cfg.get_str("bench.populations", "25,50,100,200")
+    raw = cfg.get("bench.populations", "25,50,100,200")
     try:
         populations = [int(p) for p in raw.split(",") if p.strip()]
     except ValueError:
         raise CliError(f"bench.populations must be comma-separated ints, got {raw!r}")
     if not populations:
         raise CliError("bench.populations is empty")
-    generations = cfg.get_int("bench.generations", 20)
-    m = cfg.get_int("bench.m", 30)
-    n = cfg.get_int("bench.n", 10)
+    generations = cfg.get("bench.generations", 20)
+    m = cfg.get("bench.m", 30)
+    n = cfg.get("bench.n", 10)
     inst = random_instance(m, n, rng=np.random.default_rng([args.seed, 0]))
 
     rows = []
@@ -681,35 +644,28 @@ def cmd_bench(args: argparse.Namespace, cfg: Config) -> int:
 # parser / entry point
 
 
-def _seed_value(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    if not 0 <= v < 2 ** 64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit int")
-    return v
-
-
-def _worker_count(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"workers must be an integer, got {text!r}")
-    if not 1 <= v <= 30:
-        raise argparse.ArgumentTypeError("workers must lie in [1, 30]")
-    return v
+def _int_in(name: str, lo: int, hi: float = math.inf) -> Callable[[str], int]:
+    """argparse type: an integer in [lo, hi]."""
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer, got {text!r}")
+        if not lo <= v <= hi:
+            raise argparse.ArgumentTypeError(f"{name} must lie in [{lo}, {hi}]")
+        return v
+    return parse
 
 
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", metavar="PATH", default=None,
                         help="flat JSON config with module.param keys")
-    common.add_argument("--seed", type=_seed_value, default=0,
+    common.add_argument("--seed", type=_int_in("seed", 0, 2 ** 64 - 1), default=0,
                         help="master seed (default 0)")
     common.add_argument("--out", metavar="DIR", default="out",
                         help="output directory (default ./out)")
-    common.add_argument("--reps", type=int, default=10,
+    common.add_argument("--reps", type=_int_in("reps", 1), default=10,
                         help="seeded repetitions where applicable (default 10)")
 
     parser = _Parser(prog="reinfog",
@@ -735,7 +691,7 @@ def build_parser() -> _Parser:
                        help="train with local workers streaming to a learner")
     p.add_argument("--episodes", type=int, default=None,
                    help="override train.episodes (per worker)")
-    p.add_argument("--workers", type=_worker_count, default=2,
+    p.add_argument("--workers", type=_int_in("workers", 1, 30), default=2,
                    help="local worker count, 1..30 (default 2)")
     p.add_argument("--listen", default=None,
                    help=f"learner bind address host:port "
@@ -764,9 +720,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = Config.load(args.config) if args.config is not None else Config()
-        if args.reps < 1:
-            raise CliError("--reps must be at least 1")
+        cfg = load_config(args.config) if args.config is not None else {}
         os.makedirs(args.out, exist_ok=True)
         return args.func(args, cfg)
     except CliError as exc:

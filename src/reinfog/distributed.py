@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dqn import DqnAgent, DqnConfig
-from . import protocol
+from . import protocol, sim
 from .network import NetworkParams
 from .protocol import (
     PROTOCOL_VERSION,
@@ -71,12 +71,6 @@ class SyncConfig:
             raise ValueError("sync_interval and batch_flush must be >= 1")
 
 
-@dataclass
-class SessionState:
-    worker_id: str
-    last_seq: int = -1
-
-
 def parse_endpoint(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not host:
@@ -108,7 +102,10 @@ def _batch_fault(batch: Transitions, state_dim: int, n_actions: int) -> str | No
     """Why a received batch is unfit to train on, naming the first bad row
     by its index; None when every row is fit. `Transitions` already holds
     the dtypes (int64 actions) and consistent shapes; the state width, the
-    action range and finiteness are each checked in one array pass."""
+    action range and finiteness are each checked in one array pass. An
+    empty batch is unfit too: every arrival may drive an update."""
+    if len(batch) == 0:
+        return "holds no experience"
     dim = batch.states.shape[1]
     if dim != state_dim:
         return f"state lengths {dim}, expected {state_dim}"
@@ -165,8 +162,9 @@ def replay_arrivals(arrivals: list[tuple[str, int, Transitions]],
 
 
 class _Session:
-    def __init__(self, state: SessionState, sock: socket.socket) -> None:
-        self.state = state
+    def __init__(self, worker_id: str, sock: socket.socket) -> None:
+        self.worker_id = worker_id
+        self.last_seq = -1
         self.sock = sock
         self.write_lock = threading.Lock()
 
@@ -313,7 +311,7 @@ class Learner:
             else:
                 with self._lock:
                     if who not in self._sessions:
-                        session = _Session(SessionState(who), sock)
+                        session = _Session(who, sock)
                         self._sessions[who] = session
                         self._sessions_started += 1
                 reason = "duplicate worker id" if session is None else None
@@ -330,7 +328,7 @@ class Learner:
         finally:
             if session is not None:
                 with self._lock:
-                    self._sessions.pop(session.state.worker_id, None)
+                    self._sessions.pop(session.worker_id, None)
             sock.close()
             if reason is not None:
                 with self._lock:
@@ -339,21 +337,20 @@ class Learner:
     def _receive_batches(self, session: _Session) -> str | None:
         """Queue the session's batches until it ends; why it must be
         dropped, or None when it closed or said shutdown."""
-        state = session.state
         while not self._stop.is_set():
             msg = read_frame(session.sock)
             if msg is None or isinstance(msg, Shutdown):
                 return None
             if not isinstance(msg, ExperienceBatch):
                 return "unexpected message type"
-            if msg.worker_id != state.worker_id:
+            if msg.worker_id != session.worker_id:
                 return "worker id changed mid-session"
-            if msg.seq <= state.last_seq:
-                return f"out-of-order batch {msg.seq} after {state.last_seq}"
+            if msg.seq <= session.last_seq:
+                return f"out-of-order batch {msg.seq} after {session.last_seq}"
             fault = _batch_fault(msg.experiences, *self._dims)
             if fault is not None:
                 return f"worker {msg.worker_id} batch {msg.seq} {fault}"
-            state.last_seq = msg.seq
+            session.last_seq = msg.seq
             with self._lock:
                 self.received_experiences += len(msg.experiences)
             self._queue.put((msg.worker_id, msg.seq, msg.experiences))
@@ -476,9 +473,8 @@ def worker_loop(endpoint: tuple[str, int] | None, worker_id: str,
     sync = sync or SyncConfig()
     spec = reward_spec or make_reward_spec(cluster, workload,
                                            releases=releases, origin=origin)
-    n = cluster.n
-    state_dim = 3 * n + 4
-    agent = DqnAgent(state_dim, n, dqn_cfg, rng=rng, initial=initial)
+    agent = DqnAgent(sim.state_dim(cluster.n), cluster.n, dqn_cfg, rng=rng,
+                     initial=initial)
     mailbox = _PolicyMailbox()
     stop = threading.Event()
     shutdown_reason: list[str | None] = [None]
@@ -598,9 +594,9 @@ def centralized_mode(cluster: ClusterSpec, workload, episodes: int,
     sync = sync or SyncConfig()
     spec = reward_spec or make_reward_spec(cluster, workload,
                                            releases=releases, origin=origin)
-    n = cluster.n
     rng = np.random.default_rng(seed)
-    agent = DqnAgent(3 * n + 4, n, dqn_cfg, rng=rng, initial=initial)
+    agent = DqnAgent(sim.state_dim(cluster.n), cluster.n, dqn_cfg, rng=rng,
+                     initial=initial)
     core = _TrainerCore(agent, rng)
     pending: list[Transitions] = []
     trace: list[EpisodeRow] = []

@@ -16,9 +16,6 @@ from .network import (
 )
 from .replay import Transitions
 
-# layer preset used for full-scale training runs; desk runs keep the default
-FULL_SCALE_HIDDEN = (256, 256, 128)
-
 
 @dataclass
 class DqnConfig:
@@ -54,8 +51,7 @@ class DqnAgent:
                  rng: np.random.Generator | int | None = None,
                  initial: NetworkParams | None = None) -> None:
         self.cfg = cfg or DqnConfig()
-        self.rng = rng if isinstance(rng, np.random.Generator) \
-            else np.random.default_rng(rng)
+        self.rng = np.random.default_rng(rng)
         sizes = (state_dim, *self.cfg.hidden_sizes, n_actions)
         self.online = initial.copy() if initial is not None else \
             NetworkParams.glorot(sizes, self.cfg.activation, self.rng)

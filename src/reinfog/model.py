@@ -108,34 +108,22 @@ def _check_assignment_shape(assignment: Assignment, inst: PlacementInstance) -> 
             raise ValueError(f"component {i} mapped to invalid node index {j}")
 
 
-def objective(assignment: Assignment, inst: PlacementInstance,
-              normalized: bool = False) -> float:
+def objective(assignment: Assignment, inst: PlacementInstance) -> float:
     """Weighted placement cost: sum over components of w1*time + w2*energy.
 
     Args:
         assignment: node index per component.
         inst: instance with components, nodes, and objective weights.
-        normalized: divide each term by its instance-wide maximum before
-            weighting, so time and energy contribute on comparable scales.
 
     Returns:
         The scalar objective value (lower is better).
     """
     _check_assignment_shape(assignment, inst)
-    if normalized:
-        t_max = max(operation_time(c, nd)
-                    for c in inst.components for nd in inst.nodes)
-        e_max = max(operation_energy(c, nd)
-                    for c in inst.components for nd in inst.nodes)
-    else:
-        t_max = e_max = 1.0
-    t_max = t_max or 1.0
-    e_max = e_max or 1.0
     total = 0.0
     for comp, j in zip(inst.components, assignment.node_of):
         node = inst.nodes[j]
-        total += (inst.omega1 * operation_time(comp, node) / t_max
-                  + inst.omega2 * operation_energy(comp, node) / e_max)
+        total += (inst.omega1 * operation_time(comp, node)
+                  + inst.omega2 * operation_energy(comp, node))
     return total
 
 

@@ -82,7 +82,7 @@ class NetworkParams:
     def glorot(cls, layer_sizes: Sequence[int], activation: str = "relu",
                rng: np.random.Generator | int | None = None) -> "NetworkParams":
         """Glorot-uniform weights in +-sqrt(6 / (fan_in + fan_out)), zero biases."""
-        gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        gen = np.random.default_rng(rng)
         sizes = tuple(int(s) for s in layer_sizes)
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes, sizes[1:]):

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,60 +74,35 @@ class PlacementParams:
     def ga(cls, **kw) -> "PlacementParams":
         kw.setdefault("population_size", 100)
         kw.setdefault("crossover_rate", 0.9)
-        kw.setdefault("mutation_rate", 0.05)
         return cls(**kw)
 
     @classmethod
     def fa(cls, **kw) -> "PlacementParams":
         kw.setdefault("population_size", 100)
-        kw.setdefault("fa_alpha", 0.2)
-        kw.setdefault("fa_beta", 0.8)
         kw.setdefault("fa_gamma", 0.1)
         return cls(**kw)
 
     @classmethod
     def pso(cls, **kw) -> "PlacementParams":
         kw.setdefault("population_size", 100)
-        kw.setdefault("pso_w", 0.7)
-        kw.setdefault("pso_c1", 2.0)
-        kw.setdefault("pso_c2", 2.0)
         return cls(**kw)
 
 
+@dataclass(eq=False)
 class Population:
     """Array-backed population; row index addresses one individual.
 
     Swarm state (velocity, personal best) belongs to the individual living in
-    the row. replace_assignments leaves it alone: an engine that replaces a
-    generation wholesale and then reads swarm state must re-key it to the
-    incoming individuals.
+    the row: an engine that replaces a generation wholesale and then reads
+    swarm state must re-key it to the incoming individuals.
     """
 
-    def __init__(self, assign: np.ndarray, position: np.ndarray, velocity: np.ndarray,
-                 pbest_assign: np.ndarray, pbest_position: np.ndarray,
-                 pbest_fitness: np.ndarray) -> None:
-        self.assign = assign
-        self.position = position
-        self.velocity = velocity
-        self.pbest_assign = pbest_assign
-        self.pbest_position = pbest_position
-        self.pbest_fitness = pbest_fitness
-
-    @property
-    def size(self) -> int:
-        return self.assign.shape[0]
-
-    @property
-    def genes(self) -> int:
-        return self.assign.shape[1]
-
-    def __len__(self) -> int:
-        return self.size
-
-    def replace_assignments(self, new_assign: np.ndarray) -> None:
-        """Install a new generation; positions mirror it, swarm state is untouched."""
-        self.assign = new_assign
-        self.position = new_assign.astype(float)
+    assign: np.ndarray
+    position: np.ndarray
+    velocity: np.ndarray
+    pbest_assign: np.ndarray
+    pbest_position: np.ndarray
+    pbest_fitness: np.ndarray
 
 
 class _CostTables:
@@ -184,12 +158,6 @@ def fitness(assignment: Assignment, inst: PlacementInstance,
     """Negated penalized objective; higher is better, feasible peaks at -F."""
     report = check_constraints(assignment, inst)
     return -(objective(assignment, inst) + penalty_lambda * report.total_violation)
-
-
-def _as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 def generate_population(inst: PlacementInstance, params: PlacementParams,
@@ -385,7 +353,7 @@ def _ga_offspring(assign: np.ndarray, fit: np.ndarray, params: PlacementParams,
 def _run_engine(inst: PlacementInstance, params: PlacementParams,
                 rng: np.random.Generator | int | None, algorithm: str,
                 ga_phase: bool, fa_phase: bool, pso_phase: bool) -> PlacementResult:
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     tables = _CostTables(inst)
     lam = params.penalty_lambda
     pop = generate_population(inst, params, rng)
@@ -411,8 +379,9 @@ def _run_engine(inst: PlacementInstance, params: PlacementParams,
     for gen in range(1, params.generations + 1):
         t0 = time.perf_counter()
         if ga_phase:
-            pop.replace_assignments(_ga_offspring(pop.assign, fit, params,
-                                                  inst.num_nodes, rng))
+            # a new generation: positions mirror it, swarm state is untouched
+            pop.assign = _ga_offspring(pop.assign, fit, params, inst.num_nodes, rng)
+            pop.position = pop.assign.astype(float)
         if fa_phase:
             firefly_movement(pop, inst, params.fa_alpha, params.fa_beta,
                              params.fa_gamma, rng, lam, tables=tables)
@@ -476,14 +445,13 @@ def pso_run(inst: PlacementInstance, params: PlacementParams | None = None,
 def random_placement(inst: PlacementInstance,
                      rng: np.random.Generator | int | None = None) -> PlacementResult:
     """Single uniform random assignment, wrapped like the search results."""
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     a = Assignment(tuple(int(v) for v in rng.integers(0, inst.num_nodes,
                                                       inst.num_components)))
     fit = fitness(a, inst)
-    trace = RunTrace([TraceRow(0, fit, objective(a, inst),
-                               check_constraints(a, inst).feasible, 0.0)])
-    return PlacementResult("random", a, fit, objective(a, inst),
-                           check_constraints(a, inst).feasible, trace)
+    F, feasible = objective(a, inst), check_constraints(a, inst).feasible
+    trace = RunTrace([TraceRow(0, fit, F, feasible, 0.0)])
+    return PlacementResult("random", a, fit, F, feasible, trace)
 
 
 def brute_force_optimal(inst: PlacementInstance,
@@ -528,7 +496,7 @@ def random_instance(m: int, n: int, rng: np.random.Generator | int | None = None
                     slack: float = 2.0, omega1: float = 0.5,
                     omega2: float = 0.5) -> PlacementInstance:
     """Seeded synthetic instance; `slack` scales node capacity over total demand."""
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     compute = rng.uniform(50.0, 400.0, m)
     mem = rng.uniform(64.0, 512.0, m)
     cap = rng.uniform(0.5, 1.5, n) * (compute.sum() * slack / n)

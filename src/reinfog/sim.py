@@ -468,9 +468,14 @@ class IncrementalSim:
         return ScheduleConfig(app.id, dict(runs), self.releases[app.id])
 
 
+def state_dim(n: int) -> int:
+    """Length of encode_state's vector on an n-node cluster."""
+    return 3 * n + 4
+
+
 def encode_state(cluster: ClusterSpec, sim: IncrementalSim, app: AppDag,
                  task: Task) -> np.ndarray:
-    """Feature vector of length 3n + 4, every entry in [0, 1].
+    """Feature vector of length state_dim(n), every entry in [0, 1].
 
     Per node: spare capacity after debiting queued-but-unfinished work
     (mega-cycles against one second of nominal throughput), spare memory,
@@ -677,7 +682,7 @@ def run_episode(cluster: ClusterSpec, workload: Sequence[AppDag],
     result = _drive(cluster, workload, step, reward_spec, releases, origin)
     # transitions are built after the loop: nothing extra runs between decisions
     k = len(encoded)
-    states = np.array(encoded).reshape(k, 3 * cluster.n + 4)
+    states = np.array(encoded).reshape(k, state_dim(cluster.n))
     next_states = np.zeros_like(states)
     next_states[:-1] = states[1:]
     steps = Transitions(states, np.array(actions, dtype=np.int64),
@@ -720,18 +725,14 @@ def baseline_greedy(cluster: ClusterSpec, workload: Sequence[AppDag],
 
 
 def make_reward_spec(cluster: ClusterSpec, workload: Sequence[AppDag],
-                     metric: str = "weighted_cost",
-                     failure_penalty: float = DEFAULT_FAILURE_PENALTY,
-                     w1: float = 0.5, w2: float = 0.5,
                      releases: Mapping[int, float] | None = None,
                      origin: int = USER) -> RewardSpec:
-    """Baselines from a round-robin run on the same cluster and workload."""
+    """Baselines from a round-robin run on the same cluster and workload;
+    the other settings at their defaults (`dataclasses.replace` changes them)."""
     rr = baseline_round_robin(cluster, workload, releases=releases,
                               origin=origin)
     return RewardSpec(baseline_rt=max(rr.total_rt, _EPS),
-                      baseline_ec=max(rr.total_ec, _EPS),
-                      metric=metric, failure_penalty=failure_penalty,
-                      w1=w1, w2=w2)
+                      baseline_ec=max(rr.total_ec, _EPS))
 
 
 def generate_workload(num_apps: int, tasks_per_app: int,
@@ -752,7 +753,7 @@ def generate_workload(num_apps: int, tasks_per_app: int,
         raise ValueError("need at least one app and one task")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = np.random.default_rng(rng)
     num_layers = layers if layers is not None else math.ceil(math.sqrt(tasks_per_app))
     num_layers = max(1, min(num_layers, tasks_per_app))
 
@@ -789,7 +790,7 @@ def poisson_releases(workload: Sequence[AppDag], rate: float,
     """Cumulative exponential arrival times, one per app in listed order."""
     if rate <= 0:
         raise ValueError("arrival rate must be positive")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = np.random.default_rng(rng)
     t = 0.0
     out: dict[int, float] = {}
     for dag in workload:

@@ -1,6 +1,8 @@
 import json
 import os
+import re
 import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +85,41 @@ def test_missing_config_file_exits_1(tmp_path):
 def test_non_dotted_config_key_rejected(tmp_path):
     cfg = write_config(tmp_path / "c.json", {"episodes": 3})
     assert run_cli(["train", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dqn.learning_rat", 5),
+    ("dqn.learning_rate", "nan"),
+    ("train.w1", float("nan")),
+    ("train.w1", True),
+    ("dqn.hidden_sizes", [64, True]),
+    ("dqn.batch_size", "4"),
+    ("sync.batch_flush", 2.5),
+    ("train.metric", "latency"),
+])
+def test_unfit_config_value_exits_1_naming_its_key(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path / "c.json", {**FAST_TRAIN, key: value})
+    assert run_cli(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert key in capsys.readouterr().err
+
+
+def test_integral_float_accepted_for_an_integer_key(tmp_path):
+    cfg = write_config(tmp_path / "c.json", {**FAST_TRAIN, "dqn.batch_size": 8.0})
+    assert run_cli(["train", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+def test_readme_config_table_lists_exactly_the_accepted_keys():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = readme.read_text().split("### Config file")[1].split("Example:")[0]
+    documented = set()
+    for row in table.splitlines():
+        cells = re.split(r"(?<!\\)\|", row)
+        if len(cells) < 4 or not cells[1].strip().startswith("`"):
+            continue
+        prefixes = re.findall(r"`(\w+)\.`", cells[1])
+        names = re.findall(r"`(\w+)`", re.sub(r"\(.*?\)", "", cells[2]))
+        documented |= {f"{p}.{n}" for p in prefixes for n in names}
+    assert documented == set(cli.CONFIG_KEYS)
 
 
 def test_unknown_algorithm_exits_1(tmp_path):

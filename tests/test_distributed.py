@@ -309,11 +309,12 @@ def with_row_1(field: str, value, column: int | None = None) -> Transitions:
     (with_row_1("rewards", float("inf")), "batch 2 experience 1: non-finite reward"),
     (with_row_1("states", float("nan"), 0), "batch 2 experience 1: non-finite state"),
     (with_row_1("next_states", -float("inf"), -1), "batch 2 experience 1: non-finite state"),
+    (transitions(0), "batch 2 holds no experience"),
 ], ids=[  # no bad4 or bad5: a float or a bool action cannot be built into a batch
           # at all (the next test), so it never reaches the learner
     "bad0-state lengths", "bad1-state lengths", "bad2-action 2 not an int",
     "bad3-action -1 not an int", "bad6-non-finite reward", "bad7-non-finite reward",
-    "bad8-non-finite state", "bad9-non-finite state"])
+    "bad8-non-finite state", "bad9-non-finite state", "empty"])
 def test_unfit_experience_drops_the_session(bad, why):
     # one valid batch of batch_size trains; the next batch is unfit, by its
     # state width or at row 1, and nothing of that batch is taken in

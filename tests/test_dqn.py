@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reinfog import dqn
-from reinfog.dqn import FULL_SCALE_HIDDEN, DqnAgent, DqnConfig
+from reinfog.dqn import DqnAgent, DqnConfig
 from reinfog.explore import eps_greedy
 from reinfog.network import dqn_target, forward
 from reinfog.replay import Transitions
@@ -20,7 +20,6 @@ def test_config_validation():
         DqnConfig(discount=1.5)
     with pytest.raises(ValueError):
         DqnConfig(hidden_sizes=())
-    assert FULL_SCALE_HIDDEN == (256, 256, 128)
 
 
 def test_epsilon_decays_with_decisions():

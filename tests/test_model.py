@@ -68,20 +68,6 @@ def test_objective_hand_computed():
     assert got == pytest.approx(27.816, rel=1e-9)
 
 
-def test_objective_normalized_hand_computed():
-    inst = small_instance()
-    a = Assignment((0, 1, 1))
-    t_max = max(c.compute_req / nd.compute_cap for c in inst.components for nd in inst.nodes)
-    e_max = max(nd.power_draw * c.compute_req / nd.compute_cap
-                for c in inst.components for nd in inst.nodes)
-    expected = 0.0
-    for comp, j in zip(inst.components, a.node_of):
-        nd = inst.nodes[j]
-        o = comp.compute_req / nd.compute_cap
-        expected += inst.omega1 * o / t_max + inst.omega2 * nd.power_draw * o / e_max
-    assert objective(a, inst, normalized=True) == pytest.approx(expected, rel=1e-12)
-
-
 def test_objective_permutation_invariant():
     rng = np.random.default_rng(7)
     base = small_instance()

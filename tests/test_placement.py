@@ -73,7 +73,7 @@ def test_generate_population_bounds():
     rng = np.random.default_rng(0)
     inst = tiny_instance()
     pop = generate_population(inst, PlacementParams(population_size=30), rng)
-    assert pop.size == 30 and pop.genes == 2
+    assert pop.assign.shape == (30, 2)
     assert pop.assign.min() >= 0 and pop.assign.max() < 2
     assert np.all((pop.velocity >= -1.0) & (pop.velocity <= 1.0))
     assert np.array_equal(pop.position, pop.assign.astype(float))
@@ -361,8 +361,8 @@ def _firefly_reference(pop, tables, alpha, beta, gamma, rng, penalty_lambda=1000
     snapshot = pop.assign.copy()
     fit = tables.fitness_many(snapshot, penalty_lambda)
     assign = pop.assign
-    m = pop.genes
-    for j in range(pop.size):
+    size, m = pop.assign.shape
+    for j in range(size):
         movers = np.nonzero(fit < fit[j])[0]
         if movers.size == 0:
             continue
