@@ -36,7 +36,7 @@ from .network import (
     load_policy,
     save_policy,
 )
-from .replay import Experience, RandomReplayBuffer, ReservoirReplayBuffer, Transitions
+from .replay import RandomReplayBuffer, ReservoirReplayBuffer, Transitions
 from .explore import epsilon_at, eps_greedy, ou_step
 from .dqn import DqnAgent, DqnConfig
 from .sim import (

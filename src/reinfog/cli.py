@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -21,7 +22,7 @@ import statistics
 import sys
 import threading
 import time
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from typing import TypeVar
 
 import numpy as np
@@ -175,15 +176,22 @@ def load_config(path: str) -> Config:
     return cfg
 
 
+@contextlib.contextmanager
+def _from_keys(cfg: Config, *keys: str) -> Iterator[None]:
+    """A ValueError inside becomes a CliError naming those of `keys` the config sets."""
+    try:
+        yield
+    except ValueError as exc:
+        named = ", ".join(key for key in keys if key in cfg)
+        raise CliError(f"{exc} (config keys {named})") from exc
+
+
 def _section(cfg: Config, prefix: str, cls: type, build: Callable[..., T] | None = None) -> T:
     """`build` (by default `cls`) called with the config's `prefix.<field>` values."""
     given = {f.name: cfg[f"{prefix}.{f.name}"] for f in _settable(cls)
              if f"{prefix}.{f.name}" in cfg}
-    try:
+    with _from_keys(cfg, *(f"{prefix}.{name}" for name in given)):
         return (build or cls)(**given)
-    except ValueError as exc:
-        keys = ", ".join(f"{prefix}.{name}" for name in given)
-        raise CliError(f"{exc} (config keys {keys})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -268,18 +276,15 @@ def _resolve_workload(cfg: Config, seed: int) -> tuple[list[AppDag], dict[int, f
         if not os.path.exists(path):
             raise CliError(f"workload file not found: {path}")
         return _load_workload(path)
-    apps = cfg.get("sim.apps", 4)
-    tasks = cfg.get("sim.tasks_per_app", 5)
-    if apps < 1 or tasks < 1:
-        raise CliError("sim.apps and sim.tasks_per_app must be positive")
-    workload = generate_workload(apps, tasks, rng=np.random.default_rng([seed, 101]),
-                                 layers=cfg.get("sim.layers"),
-                                 density=cfg.get("sim.density", 0.5))
     rate = cfg.get("sim.arrival_rate")
-    releases = None
-    if rate is not None:
-        releases = poisson_releases(workload, rate, np.random.default_rng([seed, 102]))
-    return workload, releases
+    with _from_keys(cfg, "sim.apps", "sim.tasks_per_app", "sim.layers", "sim.density",
+                    "sim.arrival_rate"):
+        workload = generate_workload(cfg.get("sim.apps", 4), cfg.get("sim.tasks_per_app", 5),
+                                     rng=np.random.default_rng([seed, 101]),
+                                     layers=cfg.get("sim.layers"),
+                                     density=cfg.get("sim.density", 0.5))
+        return workload, None if rate is None else poisson_releases(
+            workload, rate, np.random.default_rng([seed, 102]))
 
 
 def _sim_inputs(cfg: Config, seed: int):
@@ -315,7 +320,8 @@ def _resolve_instance(cfg: Config, rng: np.random.Generator):
     n = cfg.get("place.n", 4)
     if m < 1 or n < 1:
         raise CliError("place.m and place.n must be positive")
-    return random_instance(m, n, rng=rng, slack=cfg.get("place.slack", 2.0))
+    with _from_keys(cfg, "place.slack"):
+        return random_instance(m, n, rng=rng, slack=cfg.get("place.slack", 2.0))
 
 
 def _trace_rows(result: PlacementResult, timing: bool) -> list[tuple]:
@@ -545,8 +551,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: Config) -> int:
               schedule_rows,
               _meta("simulate", args.seed, source=source, wall_s=f"{wall:.3f}"))
 
-    failures = sum(1 for _, cfg_ in zip(workload, result.configs)
-                   for run in cfg_.entries.values() if not run.success)
+    failures = sum(not run.success for c in result.configs for run in c.entries.values())
     metrics_path = os.path.join(args.out, "metrics.csv")
     write_csv(metrics_path,
               ("response_time_s", "energy_j", "weighted_cost",
@@ -599,22 +604,21 @@ def cmd_oracle(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_bench(args: argparse.Namespace, cfg: Config) -> int:
-    raw = cfg.get("bench.populations", "25,50,100,200")
-    try:
-        populations = [int(p) for p in raw.split(",") if p.strip()]
-    except ValueError:
-        raise CliError(f"bench.populations must be comma-separated ints, got {raw!r}")
-    if not populations:
-        raise CliError("bench.populations is empty")
     generations = cfg.get("bench.generations", 20)
     m = cfg.get("bench.m", 30)
     n = cfg.get("bench.n", 10)
-    inst = random_instance(m, n, rng=np.random.default_rng([args.seed, 0]))
+    with _from_keys(cfg, "bench.populations", "bench.generations", "bench.m", "bench.n"):
+        populations = [int(p) for p in cfg.get("bench.populations", "25,50,100,200").split(",")
+                       if p.strip()]
+        runs = [PlacementParams.madcp(population_size=pop, generations=generations)
+                for pop in populations]
+        inst = random_instance(m, n, rng=np.random.default_rng([args.seed, 0]))
+    if not populations:
+        raise CliError("bench.populations is empty")
 
     rows = []
     medians: dict[int, float] = {}
-    for pop in populations:
-        params = PlacementParams.madcp(population_size=pop, generations=generations)
+    for pop, params in zip(populations, runs):
         result = madcp_run(inst, params, rng=np.random.default_rng([args.seed, 1, pop]))
         med = statistics.median(result.trace.generation_times_ms())
         medians[pop] = med

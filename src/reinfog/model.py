@@ -360,6 +360,13 @@ def ghg_emissions(energy_kwh: float, mix: Sequence[tuple[float, float]]) -> floa
 # JSON codecs
 
 
+def _json_id(value: object, what: str) -> int:
+    """A JSON integer; a float such as 1.7 is refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def instance_to_json(inst: PlacementInstance) -> dict:
     return {
         "components": [
@@ -379,13 +386,13 @@ def instance_to_json(inst: PlacementInstance) -> dict:
 def instance_from_json(doc: dict) -> PlacementInstance:
     try:
         components = tuple(
-            Component(id=int(c["id"]), compute_req=float(c["compute_req"]),
+            Component(id=_json_id(c["id"], "component id"), compute_req=float(c["compute_req"]),
                       mem_req=float(c["mem_req"]), deadline=float(c["deadline"]),
                       role=str(c.get("role", "worker")))
             for c in doc["components"]
         )
         nodes = tuple(
-            Node(id=int(nd["id"]), compute_cap=float(nd["compute_cap"]),
+            Node(id=_json_id(nd["id"], "node id"), compute_cap=float(nd["compute_cap"]),
                  mem_avail=float(nd["mem_avail"]), power_draw=float(nd["power_draw"]))
             for nd in doc["nodes"]
         )
@@ -411,13 +418,13 @@ def dag_to_json(dag: AppDag) -> dict:
 def dag_from_json(doc: dict) -> AppDag:
     try:
         tasks = tuple(
-            Task(id=int(t["id"]), compute_req=float(t["compute_req"]),
+            Task(id=_json_id(t["id"], "task id"), compute_req=float(t["compute_req"]),
                  input_size=float(t["input_size"]), output_size=float(t["output_size"]),
-                 predecessors=tuple(int(p) for p in t.get("predecessors", [])),
+                 predecessors=tuple(_json_id(p, "predecessor") for p in t.get("predecessors", [])),
                  deadline=float(t["deadline"]) if t.get("deadline") is not None else None)
             for t in doc["tasks"]
         )
-        return AppDag(id=int(doc.get("id", 0)), tasks=tasks)
+        return AppDag(id=_json_id(doc.get("id", 0), "app id"), tasks=tasks)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed DAG document: {exc}") from exc
 

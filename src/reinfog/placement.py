@@ -161,13 +161,14 @@ def fitness(assignment: Assignment, inst: PlacementInstance,
 
 
 def generate_population(inst: PlacementInstance, params: PlacementParams,
-                        rng: np.random.Generator) -> Population:
+                        rng: np.random.Generator,
+                        tables: _CostTables | None = None) -> Population:
     """Uniform random assignments; positions mirror them, velocities ~ U(-1, 1)."""
     p, m, n = params.population_size, inst.num_components, inst.num_nodes
     assign = rng.integers(0, n, size=(p, m))
     position = assign.astype(float)
     velocity = rng.uniform(-1.0, 1.0, size=(p, m))
-    tables = _CostTables(inst)
+    tables = _CostTables(inst) if tables is None else tables
     pbest_fitness = tables.fitness_many(assign, params.penalty_lambda)
     return Population(assign, position, velocity, assign.copy(), position.copy(),
                       pbest_fitness)
@@ -356,7 +357,7 @@ def _run_engine(inst: PlacementInstance, params: PlacementParams,
     rng = np.random.default_rng(rng)
     tables = _CostTables(inst)
     lam = params.penalty_lambda
-    pop = generate_population(inst, params, rng)
+    pop = generate_population(inst, params, rng, tables)
     fit = pop.pbest_fitness.copy()
     best_idx = int(np.argmax(fit))
     gbest_assign = pop.assign[best_idx].copy()

@@ -1,5 +1,5 @@
 """Experience containers: transitions as parallel arrays, the FIFO ring they
-are sampled from, and a reservoir-sampled buffer of single records."""
+are sampled from, and a reservoir sample over a whole stream of them."""
 
 from __future__ import annotations
 
@@ -8,15 +8,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Experience:
-    state: tuple[float, ...]
-    action: int
-    reward: float
-    next_state: tuple[float, ...]
-    done: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,10 +112,10 @@ class RandomReplayBuffer:
 
 
 class ReservoirReplayBuffer:
-    """Uniform sample over everything ever pushed (algorithm R).
+    """Uniform sample over every row ever pushed (algorithm R).
 
-    Once full, item number N replaces a uniformly random slot with
-    probability capacity / N, so each pushed item is retained with equal
+    Once full, row number N replaces a uniformly random slot with
+    probability capacity / N, so each pushed row is retained with equal
     probability regardless of arrival position.
     """
 
@@ -133,22 +124,26 @@ class ReservoirReplayBuffer:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.seen = 0
-        self._data: list[Experience] = []
+        self._rows: Transitions | None = None
 
-    def push(self, exp: Experience, rng: np.random.Generator) -> None:
-        self.seen += 1
-        if len(self._data) < self.capacity:
-            self._data.append(exp)
-            return
-        slot = int(rng.integers(0, self.seen))
-        if slot < self.capacity:
-            self._data[slot] = exp
+    def push(self, batch: Transitions, rng: np.random.Generator) -> None:
+        """Offer the batch's rows in order; once full, one `rng.integers(0, seen)` a row."""
+        keep = list(range(len(self)))  # indexes into the kept rows, then the batch
+        for row in range(len(self), len(self) + len(batch)):
+            self.seen += 1
+            if len(keep) < self.capacity:
+                keep.append(row)
+                continue
+            slot = int(rng.integers(0, self.seen))
+            if slot < self.capacity:
+                keep[slot] = row
+        rows = batch if self._rows is None else Transitions.concat([self._rows, batch])
+        self._rows = rows[np.array(keep, dtype=np.int64)]
 
-    def sample(self, k: int, rng: np.random.Generator) -> list[Experience]:
-        if k > len(self._data):
-            raise ValueError(f"cannot sample {k} from buffer of {len(self._data)}")
-        idx = rng.choice(len(self._data), size=k, replace=False)
-        return [self._data[i] for i in idx]
+    def sample(self, k: int, rng: np.random.Generator) -> Transitions:
+        if k > len(self):
+            raise ValueError(f"cannot sample {k} from buffer of {len(self)}")
+        return self._rows[rng.choice(len(self), size=k, replace=False)]
 
     def __len__(self) -> int:
-        return len(self._data)
+        return 0 if self._rows is None else len(self._rows)

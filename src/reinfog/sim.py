@@ -1,12 +1,13 @@
 """Scheduling environment: cluster model, state encoding, rewards, and a
 discrete-event simulator for DAG workloads on heterogeneous nodes.
 
-Two execution semantics live here and agree on single-path workloads.
-Both share one timing rule, `_data_ready`: a source's input leaves the
-origin at its app's release, and any other task's inputs are on a node
-once every predecessor has finished and its output has crossed the link.
-Both run a task through one rule too, `_run_on`: duration, energy and the
-deadline check.
+One engine, `IncrementalSim`, computes every schedule. A node runs its
+tasks one at a time in commit order, each once the node is free and the
+task's inputs are there. The timing rule is `_data_ready`: a source's
+input leaves the origin at its app's release, and any other task's inputs
+are on a node once every predecessor has finished and its output has
+crossed the link. `_run_on` runs a task: duration, energy and the deadline
+check.
 
 `ClusterSpec` builds its link and node tables once: latency and bandwidth
 by (source endpoint, destination node), with a free diagonal, and
@@ -17,14 +18,12 @@ node, and each entry equals the scalar result bit for bit. The greedy
 baseline prices that sweep with `_incremental_cost`, built on the same
 `_metric_cost` as the rewards.
 
-* `simulate_workload` replays a full mapping offline. Each node runs one
-  task at a time, picking waiting tasks in ready-time order (ties broken by
-  app id then task id).
-* `IncrementalSim` commits one decision at a time in the order an agent
-  makes them, which is what `run_episode` and the baselines drive. Only
-  `run_episode` encodes states; the baselines never read them. A node
-  serves commits in commit order, so an earlier decision never migrates
-  behind a later one.
+The engine is driven in two orders. Decision order commits one decision
+at a time as an agent makes them: `run_episode` and the baselines drive it,
+and only `run_episode` encodes states. Ready order is `simulate_workload`'s
+offline replay of a full mapping: tasks are committed by data-ready time,
+ties by app id then task id. A zero-duration task finishes as it starts,
+so a successor it makes ready then competes under the same tie rule.
 
 Node memory is a static reservation: every task parked on a node reserves
 input_size + output_size MB for the rest of the run. Overflow marks the
@@ -49,6 +48,7 @@ from .model import (
     ScheduleConfig,
     Task,
     TaskRun,
+    _json_id,
     energy_consumption,
     require_finite,
     response_time,
@@ -177,13 +177,6 @@ def cluster_to_json(cluster: ClusterSpec) -> dict:
             for (src, dst), lk in sorted(cluster.links.items())
         ],
     }
-
-
-def _json_id(value: object, what: str) -> int:
-    """A JSON integer; a float such as 1.7 is refused rather than truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def cluster_from_json(doc: dict) -> ClusterSpec:
@@ -538,82 +531,41 @@ def simulate_workload(cluster: ClusterSpec, dags: Sequence[AppDag],
                       choices: Mapping[int, Mapping[int, int]],
                       releases: Mapping[int, float] | None = None,
                       origin: int = USER) -> list[ScheduleConfig]:
-    """Event-driven replay of a complete task-to-node mapping.
-
-    Nodes serve waiting tasks in ready-time order, ties by (app id,
-    task id). Memory reservations are applied in decision order so the
-    failure flags match what an incremental run would have produced.
-    """
-    rel = _release_times(dags, releases)
-    for dag in dags:
-        for task in dag.tasks:
-            if task.id not in choices.get(dag.id, {}):
-                raise ValueError(f"no node choice for app {dag.id} task {task.id}")
-
+    """Replay a complete task-to-node mapping through `IncrementalSim` in
+    ready order. Memory is reserved in decision order, so the failure flags
+    match an incremental run's. Each app lists its runs by (start, node)."""
+    sim = IncrementalSim(cluster, dags, releases, origin)
+    heap: list[tuple[float, int, int, AppDag]] = []
+    plan: dict[tuple[int, int], tuple[int, float]] = {}  # -> (node, MB reserved before it)
     mem = [0.0] * cluster.n
-    mem_ok: dict[tuple[int, int], bool] = {}
-    for dag, task in _decision_order(dags, rel):
-        node = choices[dag.id][task.id]
-        footprint = task.input_size + task.output_size
-        mem_ok[(dag.id, task.id)] = \
-            mem[node] + footprint <= cluster.nodes[node].mem_avail + _EPS
-        mem[node] += footprint
 
-    dag_by_id = {dag.id: dag for dag in dags}
-    indeg = {(d.id, t.id): len(t.predecessors) for d in dags for t in d.tasks}
-    succ = {d.id: d.successors() for d in dags}
-    runs: dict[int, dict[int, TaskRun]] = {d.id: {} for d in dags}
-    waiting: list[list[tuple[float, int, int]]] = [[] for _ in range(cluster.n)]
-    node_free = [0.0] * cluster.n
-    running: list[tuple[float, int, int, int]] = []  # finish, app, task, node
-    times: list[float] = []
+    def push(dag: AppDag, task: Task) -> None:
+        ready, _ = _data_ready(cluster, dag, task, plan[dag.id, task.id][0],
+                               sim.runs[dag.id], sim.releases[dag.id], origin)
+        heapq.heappush(heap, (ready, dag.id, task.id, dag))
 
-    def mark_ready(dag: AppDag, task: Task) -> None:
-        node = choices[dag.id][task.id]
-        ready, _ = _data_ready(cluster, dag, task, node, runs[dag.id],
-                               rel[dag.id], origin)
-        heapq.heappush(waiting[node], (ready, dag.id, task.id))
-        heapq.heappush(times, ready)
+    for dag, task in _decision_order(sim.workload, sim.releases):
+        try:  # a missing choice reads as None
+            node = decode_action(choices.get(dag.id, {}).get(task.id), cluster.n)
+        except ValueError as exc:
+            raise ValueError(f"app {dag.id} task {task.id}: {exc}") from exc
+        plan[dag.id, task.id] = node, mem[node]
+        mem[node] += task.input_size + task.output_size
+        if not task.predecessors:
+            push(dag, task)
+    while heap:
+        _, _, task_id, dag = heapq.heappop(heap)
+        node, reserved = plan[dag.id, task_id]
+        sim.committed_mem[node] = reserved
+        sim.commit(dag, dag.task(task_id), node)
+        for succ in map(dag.task, dag.successors()[task_id]):
+            if all(p in sim.runs[dag.id] for p in succ.predecessors):
+                push(dag, succ)
 
-    for dag in dags:
-        for task in dag.tasks:
-            if not task.predecessors:
-                mark_ready(dag, task)
-
-    total = sum(len(d.tasks) for d in dags)
-    done = 0
-    while done < total:
-        if not times:
-            raise RuntimeError("simulation stalled with tasks outstanding")
-        now = heapq.heappop(times)
-        while times and times[0] <= now + _EPS:
-            heapq.heappop(times)
-        while running and running[0][0] <= now + _EPS:
-            _, app_id, task_id, _ = heapq.heappop(running)
-            done += 1
-            dag = dag_by_id[app_id]
-            for s in succ[app_id][task_id]:
-                indeg[(app_id, s)] -= 1
-                if indeg[(app_id, s)] == 0:
-                    mark_ready(dag, dag.task(s))
-        for node in range(cluster.n):
-            while node_free[node] <= now + _EPS and waiting[node] \
-                    and waiting[node][0][0] <= now + _EPS:
-                ready, app_id, task_id = heapq.heappop(waiting[node])
-                dag = dag_by_id[app_id]
-                task = dag.task(task_id)
-                start = max(node_free[node], ready)
-                nd = cluster.nodes[node]
-                finish, energy, in_time = _run_on(nd.compute_cap, nd.power_draw,
-                                                  task, start)
-                runs[app_id][task_id] = TaskRun(
-                    node, start, finish, energy, mem_ok[(app_id, task_id)] and in_time)
-                node_free[node] = finish
-                heapq.heappush(running, (finish, app_id, task_id, node))
-                heapq.heappush(times, finish)
-
-    configs = [ScheduleConfig(d.id, dict(runs[d.id]), rel[d.id]) for d in dags]
-    check_schedule(cluster, dags, configs, origin)
+    configs = [ScheduleConfig(dag.id, dict(sorted(
+        sim.runs[dag.id].items(), key=lambda kv: (kv[1].start_s, kv[1].node))),
+        sim.releases[dag.id]) for dag in sim.workload]
+    check_schedule(cluster, sim.workload, configs, origin)
     return configs
 
 

@@ -51,7 +51,7 @@ from reinfog.protocol import (
     decode_frame,
     encode_frame,
 )
-from reinfog.replay import Experience, ReservoirReplayBuffer, Transitions
+from reinfog.replay import ReservoirReplayBuffer, Transitions
 from reinfog.sim import (
     ClusterSpec,
     LinkSpec,
@@ -283,16 +283,16 @@ def test_criterion_07_backprop_matches_finite_differences():
 def test_criterion_08_sampling_statistics_within_three_sigma():
     # reservoir: every decile of the stream retained at rate k/N
     k, n_stream, trials = 100, 10_000, 1000
-    exps = [Experience((0.0,), 0, float(i), (0.0,), False)
-            for i in range(n_stream)]
+    stream = Transitions(np.zeros((n_stream, 1)), np.zeros(n_stream, dtype=np.int64),
+                         np.arange(n_stream, dtype=float), np.zeros((n_stream, 1)),
+                         np.zeros(n_stream, dtype=bool))
     rng = np.random.default_rng(808)
     counts = np.zeros(n_stream)
     for _ in range(trials):
         buf = ReservoirReplayBuffer(k)
-        for e in exps:
-            buf.push(e, rng)
-        for e in buf._data:
-            counts[int(e.reward)] += 1
+        buf.push(stream, rng)
+        for reward in buf._rows.rewards:
+            counts[int(reward)] += 1
     decile = counts.reshape(10, n_stream // 10).sum(axis=1) / (trials * n_stream / 10)
     p = k / n_stream
     sigma_dec = np.sqrt(p * (1 - p) / (trials * n_stream / 10))

@@ -96,10 +96,20 @@ def test_non_dotted_config_key_rejected(tmp_path):
     ("dqn.batch_size", "4"),
     ("sync.batch_flush", 2.5),
     ("train.metric", "latency"),
+    # values only the library checks, while inputs are built from the config
+    ("sim.density", 2.0),
+    ("sim.arrival_rate", 0),
+    ("sim.arrival_rate", -1.0),
+    ("place.slack", -1.0),
+    ("bench.generations", 0),
+    ("bench.m", 0),
+    ("bench.populations", "1"),
 ])
 def test_unfit_config_value_exits_1_naming_its_key(tmp_path, capsys, key, value):
-    cfg = write_config(tmp_path / "c.json", {**FAST_TRAIN, key: value})
-    assert run_cli(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    command = {"sim": ["simulate"], "place": ["place", "--algorithms", "madcp"],
+               "bench": ["bench"]}.get(key.split(".")[0], ["train"])
+    cfg = write_config(tmp_path / "c.json", {**FAST_TRAIN, **FAST_PLACE, key: value})
+    assert run_cli([*command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert key in capsys.readouterr().err
 
 
@@ -349,6 +359,18 @@ def test_simulate_non_finite_workload_exits_1(tmp_path, capsys, field, literal):
                   "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "must be finite" in capsys.readouterr().err
+
+
+def test_simulate_non_integer_workload_id_exits_1(tmp_path, capsys):
+    doc = {"apps": [{"id": 0, "tasks": [
+        {"id": 1.7, "compute_req": 100.0, "input_size": 1.0, "output_size": 1.0}]}]}
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path / "c.json", {"sim.workload": str(path)})
+    rc = run_cli(["simulate", "--config", cfg, "--baseline", "greedy",
+                  "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "task id must be an integer, got 1.7" in capsys.readouterr().err
 
 
 def test_simulate_negative_task_size_exits_1(tmp_path, capsys):

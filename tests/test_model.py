@@ -273,6 +273,26 @@ def test_dag_json_round_trip():
     assert dag_from_json(json.loads(json.dumps(dag_to_json(with_deadline)))) == with_deadline
 
 
+@pytest.mark.parametrize("where, value, what", [
+    (("tasks", 1, "id"), 1.7, "task id"),
+    (("tasks", 1, "predecessors", 0), 1.2, "predecessor"),
+    (("id",), 0.9, "app id"),
+    (("tasks", 0, "id"), "3", "task id"),
+    (("components", 0, "id"), 1.5, "component id"),
+    (("nodes", 1, "id"), True, "node id"),
+])
+def test_json_ids_must_be_integers(where, value, what):
+    load, doc = ((instance_from_json, instance_to_json(small_instance()))
+                 if where[0] in ("components", "nodes") else
+                 (dag_from_json, dag_to_json(diamond_dag())))
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    with pytest.raises(ValueError, match=f"{what} must be an integer, got {value!r}"):
+        load(json.loads(json.dumps(doc)))
+
+
 @pytest.mark.parametrize("field, literal", [
     ("compute_req", "NaN"),
     ("input_size", "Infinity"),

@@ -3,21 +3,11 @@ from collections import deque
 import numpy as np
 import pytest
 
-from reinfog.replay import (
-    Experience,
-    RandomReplayBuffer,
-    ReservoirReplayBuffer,
-    Transitions,
-)
-
-
-def exp(i: int) -> Experience:
-    return Experience(state=(float(i),), action=i % 3, reward=float(i),
-                      next_state=(float(i + 1),), done=False)
+from reinfog.replay import RandomReplayBuffer, ReservoirReplayBuffer, Transitions
 
 
 def rows(start: int, stop: int) -> Transitions:
-    """Transitions numbered start..stop-1, in the pattern of exp()."""
+    """Transitions numbered start..stop-1: row i has reward i."""
     i = np.arange(start, stop)
     return Transitions(i[:, None].astype(float), i % 3, i.astype(float),
                        i[:, None] + 1.0, i % 4 == 0)
@@ -136,12 +126,50 @@ def test_transitions_equality_is_by_value():
 def test_reservoir_fills_then_holds_capacity():
     buf = ReservoirReplayBuffer(capacity=5)
     rng = np.random.default_rng(0)
-    for i in range(3):
-        buf.push(exp(i), rng)
+    buf.push(rows(0, 3), rng)
     assert len(buf) == 3 and buf.seen == 3
-    for i in range(3, 50):
-        buf.push(exp(i), rng)
+    for i in range(3, 50, 4):
+        buf.push(rows(i, min(i + 4, 50)), rng)
     assert len(buf) == 5 and buf.seen == 50
+    buf.push(rows(50, 50), rng)
+    assert len(buf) == 5 and buf.seen == 50
+
+
+class ListReservoir:
+    """The reservoir of single records the array form replaced: one push per
+    row, kept in a list and sampled by the same call."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity, self.seen, self.data = capacity, 0, []
+
+    def push(self, row: Transitions, rng: np.random.Generator) -> None:
+        self.seen += 1
+        if len(self.data) < self.capacity:
+            self.data.append(row)
+            return
+        slot = int(rng.integers(0, self.seen))
+        if slot < self.capacity:
+            self.data[slot] = row
+
+    def sample(self, k: int, rng: np.random.Generator) -> Transitions:
+        idx = rng.choice(len(self.data), size=k, replace=False)
+        return Transitions.concat([self.data[i] for i in idx])
+
+
+@pytest.mark.parametrize("batch", [1, 4, 13, 60])
+def test_reservoir_keeps_and_samples_what_a_row_at_a_time_reservoir_does(batch):
+    # capacity 7, 60 rows pushed in batches: after every push the arrays hold
+    # the list's rows and, from generators of one seed, sample the same
+    buf, oracle = ReservoirReplayBuffer(7), ListReservoir(7)
+    rng_buf, rng_oracle = np.random.default_rng(9), np.random.default_rng(9)
+    for start in range(0, 60, batch):
+        pushed = rows(start, min(start + batch, 60))
+        buf.push(pushed, rng_buf)
+        for i in range(len(pushed)):
+            oracle.push(pushed[i:i + 1], rng_oracle)
+        assert (len(buf), buf.seen) == (len(oracle.data), oracle.seen)
+        assert buf.sample(len(buf), rng_buf) == oracle.sample(len(buf), rng_oracle)
+    assert rng_buf.bit_generator.state == rng_oracle.bit_generator.state
 
 
 def test_reservoir_inclusion_probability():
@@ -154,9 +182,9 @@ def test_reservoir_inclusion_probability():
     for _ in range(reps):
         buf = ReservoirReplayBuffer(capacity=k)
         for i in range(n):
-            buf.push(exp(i), rng)
-        for e in buf.sample(k, rng):
-            counts[int(e.reward) // decile] += 1
+            buf.push(rows(i, i + 1), rng)
+        for reward in buf.sample(k, rng).rewards:
+            counts[int(reward) // decile] += 1
     p = k / n
     trials = reps * decile
     expected = trials * p
@@ -168,15 +196,7 @@ def test_reservoir_deterministic_given_rng():
     def run():
         buf = ReservoirReplayBuffer(capacity=4)
         rng = np.random.default_rng(42)
-        for i in range(100):
-            buf.push(exp(i), rng)
-        return [e.reward for e in buf.sample(4, rng)]
+        buf.push(rows(0, 100), rng)
+        return buf.sample(4, rng)
 
     assert run() == run()
-
-
-def test_experience_is_hashable_record():
-    a = exp(1)
-    b = Experience(state=(1.0,), action=1, reward=1.0, next_state=(2.0,), done=False)
-    assert a == b
-    assert hash(a) == hash(b)

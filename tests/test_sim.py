@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import itertools
 import json
 from dataclasses import replace
@@ -9,20 +10,26 @@ import pytest
 from reinfog.model import (
     AppDag,
     Node,
+    ScheduleConfig,
     Task,
+    TaskRun,
     critical_path,
     energy_consumption,
     response_time,
 )
 from reinfog.sim import (
+    _EPS,
     USER,
     ClusterSpec,
     IncrementalSim,
     LinkSpec,
     RewardSpec,
     StepOutcome,
+    _data_ready,
     _decision_order,
     _incremental_cost,
+    _release_times,
+    _run_on,
     baseline_greedy,
     baseline_round_robin,
     check_schedule,
@@ -559,6 +566,141 @@ def test_random_schedules_pass_internal_checks():
             * cluster.nodes[configs[d].entries[t.id].node].power_draw
             for d, dag in enumerate(workload) for t in dag.tasks)
         assert total == pytest.approx(byhand, rel=1e-12)
+
+
+# --- offline replay against the event loop it replaced -----------------------
+
+
+def _event_loop_reference(cluster, dags, choices, releases=None, origin=USER):
+    """The discrete-event loop `simulate_workload` used to run: per-node
+    waiting heaps in ready order, events merged within 1e-9, memory flags
+    from decision order. Nodes are indexed as given, without checks."""
+    rel = _release_times(dags, releases)
+    mem = [0.0] * cluster.n
+    mem_ok = {}
+    for dag, task in _decision_order(dags, rel):
+        node = choices[dag.id][task.id]
+        footprint = task.input_size + task.output_size
+        mem_ok[dag.id, task.id] = mem[node] + footprint <= cluster.nodes[node].mem_avail + _EPS
+        mem[node] += footprint
+    dag_by_id = {dag.id: dag for dag in dags}
+    indeg = {(d.id, t.id): len(t.predecessors) for d in dags for t in d.tasks}
+    runs = {d.id: {} for d in dags}
+    waiting = [[] for _ in range(cluster.n)]
+    node_free = [0.0] * cluster.n
+    running, times = [], []
+
+    def mark_ready(dag, task):
+        node = choices[dag.id][task.id]
+        ready, _ = _data_ready(cluster, dag, task, node, runs[dag.id], rel[dag.id], origin)
+        heapq.heappush(waiting[node], (ready, dag.id, task.id))
+        heapq.heappush(times, ready)
+
+    for dag in dags:
+        for task in dag.tasks:
+            if not task.predecessors:
+                mark_ready(dag, task)
+    done, total = 0, sum(len(d.tasks) for d in dags)
+    while done < total:
+        now = heapq.heappop(times)
+        while times and times[0] <= now + _EPS:
+            heapq.heappop(times)
+        while running and running[0][0] <= now + _EPS:
+            _, app_id, task_id = heapq.heappop(running)
+            done += 1
+            dag = dag_by_id[app_id]
+            for s in dag.successors()[task_id]:
+                indeg[app_id, s] -= 1
+                if indeg[app_id, s] == 0:
+                    mark_ready(dag, dag.task(s))
+        for node in range(cluster.n):
+            while node_free[node] <= now + _EPS and waiting[node] \
+                    and waiting[node][0][0] <= now + _EPS:
+                ready, app_id, task_id = heapq.heappop(waiting[node])
+                task = dag_by_id[app_id].task(task_id)
+                start = max(node_free[node], ready)
+                nd = cluster.nodes[node]
+                finish, energy, in_time = _run_on(nd.compute_cap, nd.power_draw, task, start)
+                runs[app_id][task_id] = TaskRun(node, start, finish, energy,
+                                                mem_ok[app_id, task_id] and in_time)
+                node_free[node] = finish
+                heapq.heappush(running, (finish, app_id, task_id))
+                heapq.heappush(times, finish)
+    return [ScheduleConfig(d.id, dict(runs[d.id]), rel[d.id]) for d in dags]
+
+
+def _tie_heavy_case(rng: np.random.Generator):
+    """A small cluster and workload on round numbers, so that ready times,
+    finishes and node choices tie often; compute stays positive."""
+    n = int(rng.integers(1, 5))
+    nodes = tuple(Node(i, float(rng.choice([500.0, 1000.0, 2000.0])),
+                       float(rng.choice([8.0, 20.0, 1024.0])),
+                       float(rng.choice([10.0, 50.0]))) for i in range(n))
+    endpoints = list(range(n)) + [USER]
+    links = {(s, d): LinkSpec(float(rng.choice([0.0, 0.01, 0.5])),
+                              float(rng.choice([10.0, 100.0])))
+             for s in endpoints for d in endpoints if s != d}
+    cluster = ClusterSpec(nodes, links)
+    workload = generate_workload(int(rng.integers(1, 4)), int(rng.integers(1, 7)),
+                                 rng=rng, density=float(rng.choice([0.0, 0.5, 1.0])))
+    workload = [AppDag(dag.id, tuple(
+        replace(t, compute_req=float(rng.choice([100.0, 500.0, 1000.0])),
+                input_size=float(rng.choice([0.0, 1.0, 4.0])),
+                output_size=float(rng.choice([0.0, 1.0, 4.0])),
+                deadline=float(rng.choice([0.5, 2.0])) if rng.random() < 0.3 else None)
+        for t in dag.tasks)) for dag in workload]
+    releases = ({dag.id: float(rng.choice([0.0, 0.5, 1.0])) for dag in workload}
+                if rng.random() < 0.5 else None)
+    origin = int(rng.integers(n)) if rng.random() < 0.3 else USER
+    choices = {dag.id: {t.id: int(rng.integers(n)) for t in dag.tasks} for dag in workload}
+    return cluster, workload, choices, releases, origin
+
+
+def test_replay_runs_equal_the_event_loop_it_replaced():
+    rng = np.random.default_rng(1212)
+    seen = {"late": 0, "overflow": 0, "released": 0, "node origin": 0, "tied starts": 0}
+    for _ in range(600):
+        cluster, workload, choices, releases, origin = _tie_heavy_case(rng)
+        new = simulate_workload(cluster, workload, choices, releases, origin)
+        old = _event_loop_reference(cluster, workload, choices, releases, origin)
+        assert [c.entries for c in new] == [c.entries for c in old]
+        assert [c.release_s for c in new] == [c.release_s for c in old]
+        for cfg in new:  # each app lists its runs by (start, node)
+            keys = [(r.start_s, r.node) for r in cfg.entries.values()]
+            assert keys == sorted(keys)
+        runs = [(dag.task(tid), r) for dag, c in zip(workload, new)
+                for tid, r in c.entries.items()]
+        late = [t.deadline is not None and r.finish_s > t.deadline + _EPS for t, r in runs]
+        starts = [r.start_s for _, r in runs]
+        seen["late"] += any(late)
+        seen["overflow"] += any(not r.success and not miss for (_, r), miss in zip(runs, late))
+        seen["released"] += releases is not None
+        seen["node origin"] += origin != USER
+        seen["tied starts"] += len(set(starts)) < len(starts)
+    # the cases reach memory and deadline failures, releases, node origins and ties
+    assert min(seen.values()) >= 50, seen
+
+
+def test_zero_duration_task_readies_its_successor_under_the_tie_rule():
+    # app 0: task 0 takes no time and readies task 1 at 0.0, when app 1's
+    # task 0 is ready too; the tie goes to the lower app id
+    cluster = uniform_cluster(1, latency_s=0.0)
+    app0 = AppDag(0, (Task(0, 0.0, 0.0, 0.0), Task(1, 1000.0, 0.0, 0.0, predecessors=(0,))))
+    app1 = AppDag(1, (Task(0, 1000.0, 0.0, 0.0),))
+    cfg0, cfg1 = simulate_workload(cluster, [app0, app1], {0: {0: 0, 1: 0}, 1: {0: 0}})
+    assert (cfg0.entries[1].start_s, cfg1.entries[0].start_s) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("choice", [True, 1.5, 7, -1, "missing"])
+def test_replay_rejects_an_invalid_choice_naming_the_task(choice):
+    cluster = uniform_cluster(2)
+    workload = generate_workload(2, 3, rng=0)
+    choices = {dag.id: {t.id: 0 for t in dag.tasks} for dag in workload}
+    choices[1][2] = choice
+    if choice == "missing":
+        del choices[1][2]
+    with pytest.raises(ValueError, match="app 1 task 2: .*(not an integer|invalid action)"):
+        simulate_workload(cluster, workload, choices)
 
 
 def test_generate_workload_structure():
