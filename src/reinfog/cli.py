@@ -37,7 +37,7 @@ from .distributed import (
     worker_loop,
 )
 from .dqn import DqnConfig
-from .model import AppDag, Node, dag_from_json, load_instance, require_finite
+from .model import AppDag, Node, dag_from_json, fold_sum, instance_from_json, require_finite
 from .network import forward, load_policy, save_policy
 from .placement import (
     InstanceTooLarge,
@@ -57,8 +57,8 @@ from .sim import (
     RewardSpec,
     baseline_greedy,
     baseline_round_robin,
+    cluster_from_json,
     generate_workload,
-    load_cluster,
     make_reward_spec,
     poisson_releases,
     run_episode,
@@ -242,40 +242,44 @@ def _default_cluster() -> ClusterSpec:
     return ClusterSpec(nodes, uniform_cluster(len(nodes)).links)
 
 
-def _resolve_cluster(cfg: Config) -> ClusterSpec:
-    path = cfg.get("sim.cluster")
-    if path is None:
-        return _default_cluster()
+def _read_input(what: str, path: str, parse: Callable[[object], T]) -> T:
+    """`parse` applied to the JSON document in `path`. A file that is missing,
+    unreadable, not JSON, or that `parse` refuses is a CliError naming it."""
     if not os.path.exists(path):
-        raise CliError(f"cluster file not found: {path}")
-    return load_cluster(path)
-
-
-def _load_workload(path: str) -> tuple[list[AppDag], dict[int, float] | None]:
+        raise CliError(f"{what} file not found: {path}")
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise CliError(f"cannot read workload {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"workload {path} is not valid JSON: {exc}") from exc
+        raise CliError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise CliError(f"{what} {path} is not valid JSON: {exc}") from exc
     try:
-        apps = [dag_from_json(d) for d in doc["apps"]]
-        releases = doc.get("releases")
-        if releases is not None:
-            releases = {int(k): float(v) for k, v in releases.items()}
-            require_finite("releases", **{str(k): v for k, v in releases.items()})
+        return parse(doc)
     except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"workload {path} is malformed: {exc}") from exc
+        raise CliError(f"{what} {path} is malformed: {exc}") from exc
+
+
+def _resolve_cluster(cfg: Config) -> ClusterSpec:
+    path = cfg.get("sim.cluster")
+    if path is None:
+        return _default_cluster()
+    return _read_input("cluster", path, cluster_from_json)
+
+
+def _workload_from_json(doc) -> tuple[list[AppDag], dict[int, float] | None]:
+    apps = [dag_from_json(d) for d in doc["apps"]]
+    releases = doc.get("releases")
+    if releases is not None:
+        releases = {int(k): float(v) for k, v in releases.items()}
+        require_finite("releases", **{str(k): v for k, v in releases.items()})
     return apps, releases
 
 
 def _resolve_workload(cfg: Config, seed: int) -> tuple[list[AppDag], dict[int, float] | None]:
     path = cfg.get("sim.workload")
     if path is not None:
-        if not os.path.exists(path):
-            raise CliError(f"workload file not found: {path}")
-        return _load_workload(path)
+        return _read_input("workload", path, _workload_from_json)
     rate = cfg.get("sim.arrival_rate")
     with _from_keys(cfg, "sim.apps", "sim.tasks_per_app", "sim.layers", "sim.density",
                     "sim.arrival_rate"):
@@ -313,9 +317,7 @@ def _train_inputs(args: argparse.Namespace, cfg: Config):
 def _resolve_instance(cfg: Config, rng: np.random.Generator):
     path = cfg.get("place.instance")
     if path is not None:
-        if not os.path.exists(path):
-            raise CliError(f"instance file not found: {path}")
-        return load_instance(path)
+        return _read_input("instance", path, instance_from_json)
     m = cfg.get("place.m", 6)
     n = cfg.get("place.n", 4)
     if m < 1 or n < 1:
@@ -557,7 +559,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: Config) -> int:
               ("response_time_s", "energy_j", "weighted_cost",
                "total_reward", "failures"),
               [(result.total_rt, result.total_ec, result.total_wc,
-                sum(result.rewards), failures)],
+                fold_sum(result.rewards), failures)],
               _meta("simulate", args.seed, source=source, wall_s=f"{wall:.3f}"))
 
     print(f"simulate {source}: rt {result.total_rt:.4f}s, "

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dqn import DqnAgent, DqnConfig
+from .model import fold_sum
 from . import protocol, sim
 from .network import NetworkParams
 from .protocol import (
@@ -532,7 +533,7 @@ def worker_loop(endpoint: tuple[str, int] | None, worker_id: str,
             result = run_episode(cluster, workload, policy_step, spec,
                                  releases, origin)
             episodes_run += 1
-            rewards.append(sum(result.rewards))
+            rewards.append(fold_sum(result.rewards))
             wcs.append(result.total_wc)
             pending.append(result.steps)
             flush()
@@ -614,7 +615,7 @@ def centralized_mode(cluster: ClusterSpec, workload, episodes: int,
         pending.append(result.steps)
         drain()
         trace.append(EpisodeRow(episode=episode, steps=len(result.steps),
-                                total_reward=sum(result.rewards),
+                                total_reward=fold_sum(result.rewards),
                                 total_wc=result.total_wc,
                                 epsilon=agent.epsilon, updates=updates))
     drain(everything=True)

@@ -84,7 +84,7 @@ class DqnAgent:
 
     def _targets_for(self, batch: Transitions) -> np.ndarray:
         next_q = forward(self.target, batch.next_states).max(axis=1)
-        # elementwise dqn_target: reward alone when the transition is terminal
+        # bootstrap target elementwise: reward alone when the transition is terminal
         return batch.rewards + self.cfg.discount * next_q * (~batch.done)
 
     def train_step(self, batch: Transitions) -> float:

@@ -7,11 +7,18 @@ seconds, power in watts, energy in joules.
 
 from __future__ import annotations
 
+import functools
 import heapq
-import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+
+def fold_sum(values: Iterable[float]) -> float:
+    """Left-to-right sum, 0 when empty. Float `sum()` compensates its
+    rounding from Python 3.12 on; this gives the same bits on every version."""
+    return functools.reduce(operator.add, values, 0)
 
 
 def require_finite(what: str, **values: float) -> None:
@@ -137,8 +144,8 @@ class ConstraintReport:
 
     @property
     def total_violation(self) -> float:
-        return (sum(self.node_compute_overflow) + sum(self.node_mem_overflow)
-                + sum(self.deadline_overflow))
+        return (fold_sum(self.node_compute_overflow) + fold_sum(self.node_mem_overflow)
+                + fold_sum(self.deadline_overflow))
 
     @property
     def feasible(self) -> bool:
@@ -323,7 +330,7 @@ def response_time(dags: Sequence[AppDag], scheds: Sequence[ScheduleConfig]) -> f
 
 def energy_consumption(scheds: Iterable[ScheduleConfig]) -> float:
     """Total joules over every task of every application."""
-    return sum(r.energy_j for sched in scheds for r in sched.entries.values())
+    return fold_sum(r.energy_j for sched in scheds for r in sched.entries.values())
 
 
 def weighted_cost(rt: float, ec: float, baseline_rt: float, baseline_ec: float,
@@ -353,7 +360,7 @@ def ghg_emissions(energy_kwh: float, mix: Sequence[tuple[float, float]]) -> floa
         share_sum += share
     if abs(share_sum - 1.0) > 1e-9:
         raise ValueError(f"mix shares sum to {share_sum}, expected 1")
-    return energy_kwh * sum(factor * share for factor, share in mix)
+    return energy_kwh * fold_sum(factor * share for factor, share in mix)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +434,3 @@ def dag_from_json(doc: dict) -> AppDag:
         return AppDag(id=_json_id(doc.get("id", 0), "app id"), tasks=tasks)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed DAG document: {exc}") from exc
-
-
-def load_instance(path: str) -> PlacementInstance:
-    with open(path, encoding="utf-8") as fh:
-        return instance_from_json(json.load(fh))

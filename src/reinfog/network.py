@@ -112,8 +112,8 @@ def _pack(weights, biases) -> np.ndarray:
                           dtype=float)
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
+def _activate(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(z, 0.0, out=out) if kind == "relu" else np.tanh(z, out=out)
 
 
 def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
@@ -125,13 +125,14 @@ def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
 
 def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     """Network output for one vector (in,) or a batch (B, in)."""
-    single = np.ndim(x) == 1
-    a = np.atleast_2d(np.asarray(x, dtype=float))
+    a = np.asarray(x, dtype=float)
     last = len(params.weights) - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
-        a = z if l == last else _activate(z, params.activation)
-    return a[0] if single else a
+        a = a @ w  # a fresh array, so the caller's `x` is never written
+        a += b
+        if l != last:
+            _activate(a, params.activation, out=a)
+    return a
 
 
 def _forward_trace(params: NetworkParams, x: np.ndarray):
@@ -215,11 +216,6 @@ def make_optimizer(kind: str, learning_rate: float):
     if kind == "adam":
         return AdamOptimizer(learning_rate)
     raise ValueError(f"unknown optimizer {kind!r}")
-
-
-def dqn_target(reward: float, discount: float, next_q_max: float, done: bool) -> float:
-    """Bootstrap target: reward alone on terminal transitions."""
-    return reward if done else reward + discount * next_q_max
 
 
 def dqn_update(params: NetworkParams, states: np.ndarray, actions: np.ndarray,

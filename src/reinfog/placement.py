@@ -174,43 +174,6 @@ def generate_population(inst: PlacementInstance, params: PlacementParams,
                       pbest_fitness)
 
 
-def roulette_index(fitnesses: np.ndarray, rng: np.random.Generator) -> int:
-    """Roulette draw over fitness shifted to positive weights."""
-    w = fitnesses - fitnesses.min() + ROULETTE_EPS
-    cum = np.cumsum(w)
-    idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-    return min(idx, len(fitnesses) - 1)
-
-
-def select_parents(pop: Population, fitnesses: np.ndarray,
-                   rng: np.random.Generator) -> tuple[int, int]:
-    """Two independent roulette draws; returns population slot indices."""
-    return roulette_index(fitnesses, rng), roulette_index(fitnesses, rng)
-
-
-def crossover(parent1: np.ndarray, parent2: np.ndarray, rng: np.random.Generator,
-              rate: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Single-point crossover with probability `rate`, else plain copies."""
-    m = len(parent1)
-    if m < 2 or rng.random() >= rate:
-        return parent1.copy(), parent2.copy()
-    cut = int(rng.integers(1, m))
-    child1 = np.concatenate([parent1[:cut], parent2[cut:]])
-    child2 = np.concatenate([parent2[:cut], parent1[cut:]])
-    return child1, child2
-
-
-def mutate(assignment: np.ndarray, n_nodes: int, rate: float,
-           rng: np.random.Generator) -> np.ndarray:
-    """Each gene resampled uniformly over all node indices with probability `rate`."""
-    out = assignment.copy()
-    mask = rng.random(len(assignment)) < rate
-    hits = int(mask.sum())
-    if hits:
-        out[mask] = rng.integers(0, n_nodes, hits)
-    return out
-
-
 def firefly_movement(pop: Population, inst: PlacementInstance, alpha: float,
                      beta: float, gamma: float, rng: np.random.Generator,
                      penalty_lambda: float = DEFAULT_PENALTY,
@@ -321,7 +284,8 @@ def _ga_offspring(assign: np.ndarray, fit: np.ndarray, params: PlacementParams,
                   n_nodes: int, rng: np.random.Generator) -> np.ndarray:
     """Batched selection + crossover + mutation producing 2 * operations children.
 
-    Behaviorally identical per operation to select_parents/crossover/mutate;
+    Behaviorally identical per operation to the select_parents, crossover and
+    mutate oracles in tests/test_placement.py;
     random draws are grouped by kind so the whole generation vectorizes.
     """
     ops = params.operations

@@ -28,6 +28,10 @@ so a successor it makes ready then competes under the same tie rule.
 Node memory is a static reservation: every task parked on a node reserves
 input_size + output_size MB for the rest of the run. Overflow marks the
 task failed but still executes it (the penalty lands in the reward).
+
+A state costs O(busy nodes): `encode_state` does pending-work arithmetic
+only for nodes busy past the decision time, and reads the other features
+from the sim, which keeps them.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .model import (
     TaskRun,
     _json_id,
     energy_consumption,
+    fold_sum,
     require_finite,
     response_time,
     topo_order,
@@ -364,6 +369,10 @@ class IncrementalSim:
     Each commit appends the task to its node's queue: start time is
     max(node free time, data-ready time). peek() answers what a commit to
     each node would do, without changing anything.
+
+    commit also refreshes encode_state's spare-memory feature of its node,
+    so `committed_mem[node]` may change only in commit, or right before a
+    commit to that node, as `simulate_workload` writes it.
     """
 
     def __init__(self, cluster: ClusterSpec, workload: Sequence[AppDag],
@@ -385,6 +394,15 @@ class IncrementalSim:
         # for the pending-work feature; a node's finish times never decrease
         self._finish: list[list[float]] = [[] for _ in range(n)]
         self._cycles: list[list[float]] = [[] for _ in range(n)]
+        # encode_state's features per node: spare capacity with nothing
+        # pending (constant), and spare memory, which commit keeps current
+        self._idle_cap = [min(max(nd.compute_cap / self.norms.cap, 0.0), 1.0)
+                          for nd in cluster.nodes]
+        self._mem_feat = [self._spare_mem(i) for i in range(n)]
+
+    def _spare_mem(self, node: int) -> float:
+        spare = self.cluster.nodes[node].mem_avail - self.committed_mem[node]
+        return min(max(spare / self.norms.mem, 0.0), 1.0)
 
     def dependencies_met_at(self, app: AppDag, task: Task) -> float:
         """Release for sources, else the latest predecessor finish."""
@@ -439,6 +457,7 @@ class IncrementalSim:
             float(_sweep.energy_j[node]), float(_sweep.rt_s[node]), bool(_sweep.success[node]))
         self.node_free[node] = out.finish_s
         self.committed_mem[node] += task.input_size + task.output_size
+        self._mem_feat[node] = self._spare_mem(node)
         self._finish[node].append(out.finish_s)
         self._cycles[node].append(task.compute_req)
         self.runs[app.id][task.id] = TaskRun(node, out.start_s, out.finish_s,
@@ -452,7 +471,7 @@ class IncrementalSim:
         and summed in commit order.
         """
         cycles = self._cycles[node]
-        return sum(cycles[bisect_right(self._finish[node], now):])
+        return fold_sum(cycles[bisect_right(self._finish[node], now):])
 
     def config_for(self, app: AppDag) -> ScheduleConfig:
         runs = self.runs[app.id]
@@ -480,12 +499,12 @@ def encode_state(cluster: ClusterSpec, sim: IncrementalSim, app: AppDag,
     feats: list[float] = []
     backlogs = [max(free - now, 0.0) for free in sim.node_free]
     max_backlog = max(backlogs)
-    for i, nd in enumerate(cluster.nodes):
-        spare = nd.compute_cap - sim.pending_cycles(i, now)
-        feats.append(min(max(spare / norms.cap, 0.0), 1.0))
-        spare_mem = nd.mem_avail - sim.committed_mem[i]
-        feats.append(min(max(spare_mem / norms.mem, 0.0), 1.0))
-        feats.append(backlogs[i] / max_backlog if max_backlog > 0 else 0.0)
+    for i, (backlog, idle_cap, mem) in enumerate(zip(backlogs, sim._idle_cap, sim._mem_feat)):
+        if backlog > 0.0:  # busy past `now`
+            spare = cluster.nodes[i].compute_cap - sim.pending_cycles(i, now)
+            feats += min(max(spare / norms.cap, 0.0), 1.0), mem, backlog / max_backlog
+        else:  # free by `now`: every task on it has finished, so none is pending
+            feats += idle_cap, mem, 0.0
     out_degree = len(app.successors()[task.id])
     feats.append(min(task.compute_req / norms.compute, 1.0))
     feats.append(min(task.input_size / norms.input_size, 1.0))

@@ -203,7 +203,7 @@ def test_place_best_fitness_never_decreases(tmp_path):
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
-def test_place_non_finite_instance_exits_2(tmp_path, capsys, literal):
+def test_place_non_finite_instance_exits_1(tmp_path, capsys, literal):
     doc = instance_to_json(random_instance(3, 2, np.random.default_rng(0)))
     doc["components"][0]["compute_req"] = "@"
     inst_path = tmp_path / "inst.json"
@@ -211,8 +211,9 @@ def test_place_non_finite_instance_exits_2(tmp_path, capsys, literal):
     cfg = write_config(tmp_path / "c.json", {**FAST_PLACE, "place.instance": str(inst_path)})
     rc = run_cli(["place", "--config", cfg, "--algorithms", "madcp",
                   "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert "compute_req must be finite" in capsys.readouterr().err
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "compute_req must be finite" in err and str(inst_path) in err
 
 
 # -- train -------------------------------------------------------------------
@@ -389,7 +390,7 @@ def test_simulate_negative_task_size_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("src, dst, why", [
     (0, 0, "self-link"), (9, 1, "unknown endpoint"), (1.7, 0, "must be an integer"),
     (0, 1, "duplicate link (0, 1)")])
-def test_simulate_bad_cluster_link_exits_2(tmp_path, capsys, src, dst, why):
+def test_simulate_bad_cluster_link_exits_1(tmp_path, capsys, src, dst, why):
     doc = cluster_to_json(cli._default_cluster())
     doc["links"].append({"src": src, "dst": dst, "latency_s": 0.01,
                          "bandwidth_mbps": 100.0})
@@ -398,8 +399,23 @@ def test_simulate_bad_cluster_link_exits_2(tmp_path, capsys, src, dst, why):
     cfg = write_config(tmp_path / "c.json", {**FAST_TRAIN, "sim.cluster": str(path)})
     rc = run_cli(["simulate", "--config", cfg, "--baseline", "greedy",
                   "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert why in capsys.readouterr().err
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert why in err and str(path) in err
+
+
+@pytest.mark.parametrize("key, command", [
+    ("sim.cluster", ["simulate", "--baseline", "greedy"]),
+    ("sim.workload", ["simulate", "--baseline", "greedy"]),
+    ("place.instance", ["place", "--algorithms", "madcp"])])
+@pytest.mark.parametrize("content", ['{"nodes": [', "[1, 2]"])
+def test_unfit_input_file_exits_1_naming_it(tmp_path, capsys, key, command, content):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    cfg = write_config(tmp_path / "c.json", {**FAST_PLACE, **FAST_TRAIN, key: str(path)})
+    rc = run_cli([command[0], "--config", cfg, *command[1:], "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert str(path) in capsys.readouterr().err
 
 
 def test_simulate_rejects_policy_and_baseline_together(tmp_path):

@@ -4,8 +4,9 @@ import pytest
 from reinfog import dqn
 from reinfog.dqn import DqnAgent, DqnConfig
 from reinfog.explore import eps_greedy
-from reinfog.network import dqn_target, forward
+from reinfog.network import forward
 from reinfog.replay import Transitions
+from test_network import dqn_target
 
 
 def make_agent(**over) -> DqnAgent:

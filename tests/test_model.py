@@ -1,4 +1,5 @@
 import json
+import math
 import pickle
 
 import numpy as np
@@ -8,6 +9,7 @@ from reinfog.model import (
     AppDag,
     Assignment,
     Component,
+    ConstraintReport,
     Node,
     PlacementInstance,
     ScheduleConfig,
@@ -28,6 +30,7 @@ from reinfog.model import (
     topo_order,
     weighted_cost,
 )
+from reinfog.sim import IncrementalSim, uniform_cluster
 
 
 def small_instance() -> PlacementInstance:
@@ -182,6 +185,28 @@ def test_energy_consumption_sums_tasks():
     sc.entries[0] = TaskRun(0, 0.0, 1.0, energy_j=3.0)
     sc.entries[1] = TaskRun(1, 0.0, 1.0, energy_j=4.0)
     assert energy_consumption([sc]) == 7.0
+
+
+def test_sums_add_left_to_right_on_every_python_version():
+    # Python 3.12 made float sum() compensated: sum([0.1] * 10) reads 1.0
+    # there and 0.9999999999999999 before; outputs keep the left-to-right bits
+    vals = [0.1] * 10
+    naive = 0.0
+    for v in vals:
+        naive += v
+    assert naive != math.fsum(vals)  # the data tells the two sums apart
+    sc = ScheduleConfig(0)
+    for i, v in enumerate(vals):
+        sc.entries[i] = TaskRun(0, 0.0, 1.0, energy_j=v)
+    assert repr(energy_consumption([sc])) == repr(naive)
+    report = ConstraintReport(tuple(vals), (), tuple(vals))
+    assert repr(report.total_violation) == repr(naive + naive)
+    assert repr(ghg_emissions(1.0, [(1.0, v) for v in vals])) == repr(naive)
+    dag = AppDag(0, tuple(Task(i, v, 0.0, 0.0) for i, v in enumerate(vals)))
+    sim = IncrementalSim(uniform_cluster(1), [dag])
+    for task in dag.tasks:
+        sim.commit(dag, task, 0)
+    assert repr(sim.pending_cycles(0, -1.0)) == repr(naive)
 
 
 def test_weighted_cost_fixed_point():

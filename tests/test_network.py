@@ -10,7 +10,6 @@ from reinfog.network import (
     PolicyFormatError,
     SgdOptimizer,
     dqn_loss_grads,
-    dqn_target,
     dqn_update,
     forward,
     load_policy,
@@ -61,6 +60,36 @@ def test_forward_batch_matches_single():
     # gemm vs gemv rounding may differ in the last bit, so not exact-equal
     for i in range(5):
         assert np.allclose(outs[i], forward(net, batch[i]), rtol=1e-12, atol=1e-15)
+
+
+def _forward_reference(params, x):
+    """forward as it was: a single state lifted to a 1-row batch and read back."""
+    single = np.ndim(x) == 1
+    a = np.atleast_2d(np.asarray(x, dtype=float))
+    last = len(params.weights) - 1
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = a @ w + b
+        a = z if l == last else (np.maximum(z, 0.0) if params.activation == "relu"
+                                 else np.tanh(z))
+    return a[0] if single else a
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("sizes", [(52, 64, 64, 32, 16), (13, 64, 64, 32, 3), (4, 3),
+                                   (7, 1, 5), (30, 200, 50, 10)])
+def test_forward_on_one_state_equals_a_one_row_batch_bit_for_bit(sizes, activation):
+    rng = np.random.default_rng([len(sizes), sizes[0]])
+    net = NetworkParams.glorot(sizes, activation, rng)
+    net.flat += rng.normal(scale=0.1, size=net.flat.shape)  # biases off zero
+    states = rng.random((1000, sizes[0]))
+    for x in states:
+        kept = x.tobytes()
+        out = forward(net, x)
+        assert out.shape == (sizes[-1],)
+        assert out.tobytes() == forward(net, x[None, :])[0].tobytes()
+        assert out.tobytes() == _forward_reference(net, x).tobytes()
+        assert x.tobytes() == kept
+    assert forward(net, states).tobytes() == _forward_reference(net, states).tobytes()
 
 
 def test_glorot_bounds_and_seeding():
@@ -120,6 +149,12 @@ def test_gradients_match_finite_differences(activation):
             ana = grads_b[l][i]
         denom = max(abs(num) + abs(ana), 1e-8)
         assert abs(num - ana) / denom <= 1e-4
+
+
+def dqn_target(reward: float, discount: float, next_q_max: float, done: bool) -> float:
+    """Bootstrap target: reward alone on terminal transitions. The scalar
+    oracle for `DqnAgent._targets_for`, which applies it elementwise."""
+    return reward if done else reward + discount * next_q_max
 
 
 def test_dqn_target_cases():

@@ -12,6 +12,7 @@ from reinfog.model import (
     objective,
 )
 from reinfog.placement import (
+    ROULETTE_EPS,
     InfeasibleInstance,
     InstanceTooLarge,
     PlacementParams,
@@ -19,21 +20,17 @@ from reinfog.placement import (
     _CostTables,
     _ga_offspring,
     brute_force_optimal,
-    crossover,
     fa_run,
     firefly_movement,
     fitness,
     ga_run,
     generate_population,
     madcp_run,
-    mutate,
     pso_run,
     pso_update,
     pso_velocity,
     random_instance,
     random_placement,
-    roulette_index,
-    select_parents,
 )
 
 
@@ -354,6 +351,46 @@ def test_params_validation():
     assert PlacementParams.pso().population_size == 100
     assert PlacementParams.madcp().crossover_rate == 0.8
     assert PlacementParams(population_size=10).operations == 5
+
+
+# Per-operation GA oracles: `_ga_offspring` batches the same draws by kind.
+
+
+def roulette_index(fitnesses: np.ndarray, rng: np.random.Generator) -> int:
+    """Roulette draw over fitness shifted to positive weights."""
+    w = fitnesses - fitnesses.min() + ROULETTE_EPS
+    cum = np.cumsum(w)
+    idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+    return min(idx, len(fitnesses) - 1)
+
+
+def select_parents(pop: Population, fitnesses: np.ndarray,
+                   rng: np.random.Generator) -> tuple[int, int]:
+    """Two independent roulette draws; returns population slot indices."""
+    return roulette_index(fitnesses, rng), roulette_index(fitnesses, rng)
+
+
+def crossover(parent1: np.ndarray, parent2: np.ndarray, rng: np.random.Generator,
+              rate: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Single-point crossover with probability `rate`, else plain copies."""
+    m = len(parent1)
+    if m < 2 or rng.random() >= rate:
+        return parent1.copy(), parent2.copy()
+    cut = int(rng.integers(1, m))
+    child1 = np.concatenate([parent1[:cut], parent2[cut:]])
+    child2 = np.concatenate([parent2[:cut], parent1[cut:]])
+    return child1, child2
+
+
+def mutate(assignment: np.ndarray, n_nodes: int, rate: float,
+           rng: np.random.Generator) -> np.ndarray:
+    """Each gene resampled uniformly over all node indices with probability `rate`."""
+    out = assignment.copy()
+    mask = rng.random(len(assignment)) < rate
+    hits = int(mask.sum())
+    if hits:
+        out[mask] = rng.integers(0, n_nodes, hits)
+    return out
 
 
 def _firefly_reference(pop, tables, alpha, beta, gamma, rng, penalty_lambda=1000.0):

@@ -506,6 +506,66 @@ def test_pending_cycles_bisection_equals_filter_sum_when_now_falls():
     assert falls > 0
 
 
+def _encode_state_reference(cluster, sim, app, task):
+    """encode_state as it was: every node through pending_cycles and its own
+    memory arithmetic, with no cached features."""
+    norms = sim.norms
+    now = sim.dependencies_met_at(app, task)
+    feats: list[float] = []
+    backlogs = [max(free - now, 0.0) for free in sim.node_free]
+    max_backlog = max(backlogs)
+    for i, nd in enumerate(cluster.nodes):
+        spare = nd.compute_cap - sim.pending_cycles(i, now)
+        feats.append(min(max(spare / norms.cap, 0.0), 1.0))
+        spare_mem = nd.mem_avail - sim.committed_mem[i]
+        feats.append(min(max(spare_mem / norms.mem, 0.0), 1.0))
+        feats.append(backlogs[i] / max_backlog if max_backlog > 0 else 0.0)
+    out_degree = len(app.successors()[task.id])
+    feats.append(min(task.compute_req / norms.compute, 1.0))
+    feats.append(min(task.input_size / norms.input_size, 1.0))
+    feats.append(min(task.output_size / norms.output_size, 1.0))
+    feats.append(min(out_degree / norms.out_degree, 1.0))
+    return np.array(feats)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16])
+def test_encode_state_equals_the_per_node_loop_at_every_decision(n):
+    seen = set()
+    for seed in range(6):
+        rng = np.random.default_rng([n, seed])
+        cluster = _pinned_cluster(rng, n, float(rng.choice([30.0, 400.0])))
+        workload = generate_workload(int(rng.integers(1, 4)), int(rng.integers(2, 25)),
+                                     rng=rng, density=float(rng.uniform(0.0, 1.0)),
+                                     compute_range=(100.0, 3000.0))
+        workload = [AppDag(dag.id, tuple(
+            replace(t, deadline=float(rng.uniform(0.5, 5.0))) if rng.random() < 0.3 else t
+            for t in dag.tasks)) for dag in workload]
+        releases = poisson_releases(workload, 2.0, rng=rng) if seed % 3 else None
+        origin = int(rng.integers(-1, n))
+        spec = RewardSpec(baseline_rt=1.0, baseline_ec=100.0)
+        sim = IncrementalSim(cluster, workload, releases, origin)
+        previous = -np.inf
+        for app, task in _decision_order(workload, sim.releases):
+            got = encode_state(cluster, sim, app, task)
+            assert got.tobytes() == _encode_state_reference(cluster, sim, app, task).tobytes()
+            now = sim.dependencies_met_at(app, task)
+            seen.add("now falls" if now < previous else "now holds")
+            previous = now
+            caps, mems, loads = got[0:3 * n:3], got[1:3 * n:3], got[2:3 * n:3]
+            seen.update(("busy node" if load > 0 else "idle node") for load in loads)
+            seen.update(("clipped capacity",) if (caps == 0.0).any() else ())
+            seen.update(("clipped memory",) if (mems == 0.0).any() else ())
+            if rng.random() < 0.5:  # greedy: commit the entry peek priced
+                sweep = sim.peek(app, task)
+                sim.commit(app, task, int(np.argmin(_incremental_cost(sweep, spec))), sweep)
+            else:
+                sim.commit(app, task, int(rng.integers(n)))
+        seen.add("releases" if releases else "no releases")
+        seen.add("node origin" if origin != USER else "user origin")
+    assert {"now falls", "busy node", "idle node", "clipped capacity", "clipped memory",
+            "releases", "no releases", "node origin", "user origin"} <= seen
+
+
 def test_brute_force_bound_on_small_workload():
     # enumerate all mappings: greedy and round robin can't beat the optimum,
     # and greedy should land within the enumerated range
