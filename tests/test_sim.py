@@ -553,8 +553,12 @@ def test_encode_state_equals_the_per_node_loop_at_every_decision(n):
             previous = now
             caps, mems, loads = got[0:3 * n:3], got[1:3 * n:3], got[2:3 * n:3]
             seen.update(("busy node" if load > 0 else "idle node") for load in loads)
-            seen.update(("clipped capacity",) if (caps == 0.0).any() else ())
-            seen.update(("clipped memory",) if (mems == 0.0).any() else ())
+            if (caps == 0.0).any():
+                seen.add("clipped capacity")
+            if (mems == 0.0).any():
+                seen.add("clipped memory")
+            if task.deadline is not None:
+                seen.add("deadline")
             if rng.random() < 0.5:  # greedy: commit the entry peek priced
                 sweep = sim.peek(app, task)
                 sim.commit(app, task, int(np.argmin(_incremental_cost(sweep, spec))), sweep)
@@ -563,7 +567,7 @@ def test_encode_state_equals_the_per_node_loop_at_every_decision(n):
         seen.add("releases" if releases else "no releases")
         seen.add("node origin" if origin != USER else "user origin")
     assert {"now falls", "busy node", "idle node", "clipped capacity", "clipped memory",
-            "releases", "no releases", "node origin", "user origin"} <= seen
+            "deadline", "releases", "no releases", "node origin", "user origin"} <= seen
 
 
 def test_brute_force_bound_on_small_workload():
