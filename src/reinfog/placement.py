@@ -285,8 +285,8 @@ def _ga_offspring(assign: np.ndarray, fit: np.ndarray, params: PlacementParams,
     """Batched selection + crossover + mutation producing 2 * operations children.
 
     Behaviorally identical per operation to the select_parents, crossover and
-    mutate oracles in tests/test_placement.py;
-    random draws are grouped by kind so the whole generation vectorizes.
+    mutate oracles in tests/test_placement.py; random draws are grouped by
+    kind so the whole generation vectorizes.
     """
     ops = params.operations
     pop_size, m = assign.shape
