@@ -9,6 +9,7 @@ negated penalized objective, so all searches maximize fitness.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -55,12 +56,18 @@ class PlacementParams:
             raise ValueError("population needs at least two individuals")
         if self.generations < 1:
             raise ValueError("at least one generation required")
+        if self.num_operations is not None and self.num_operations < 1:
+            raise ValueError("num_operations must be at least 1")
         for name in ("crossover_rate", "mutation_rate", "fa_alpha", "fa_beta"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.penalty_lambda < 0 or self.fa_gamma < 0:
-            raise ValueError("penalty_lambda and fa_gamma must be non-negative")
+        for name in ("fa_gamma", "penalty_lambda"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
+        for name in ("pso_w", "pso_c1", "pso_c2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
     @property
     def operations(self) -> int:
@@ -127,30 +134,53 @@ class _CostTables:
         self.demand_mem = np.array([c.mem_req for c in inst.components])
         self.cap_cycles = cap
         self.cap_mem = np.array([nd.mem_avail for nd in inst.nodes])
-        self._rows = np.arange(self.m)
+        # row g * n + node of both per-gene tables; take() with assign + _gene_base
+        self._per_gene = np.stack([self.cost, self.deadline_over]).reshape(2, -1)
+        self._gene_base = np.arange(self.m) * self.n
+        self._demand = np.stack([self.demand_cycles, self.demand_mem])[:, None, :]
+        self._caps = np.stack([cap, self.cap_mem])[:, None, :]
+        self._layouts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _gene_sums(self, assign: np.ndarray) -> np.ndarray:
+        """Per-row sums of the gene cost (row 0) and deadline overrun (row 1)."""
+        return self._per_gene.take(assign + self._gene_base, axis=1).sum(axis=2)
+
+    def _capacity_over(self, assign: np.ndarray) -> np.ndarray:
+        """Per-row compute plus memory overload, from per-(row, node) demand sums.
+
+        The sums add components in order, like a one-hot sum over the
+        component axis: `bincount` for several nodes, and for one node the
+        pairwise sum that numpy gives a contiguous axis.
+        """
+        size = assign.shape[0]
+        if self.n == 1:
+            sums = np.array([self.demand_cycles.sum(), self.demand_mem.sum()])
+            loads = np.broadcast_to(sums[:, None, None], (2, size, 1))
+        else:
+            layout = self._layouts.get(size)
+            if layout is None:  # bins: (resource, row, node); weights follow assign
+                offsets = (np.arange(2 * size) * self.n).reshape(2, size, 1)
+                weights = np.broadcast_to(self._demand, (2, size, self.m)).ravel()
+                layout = self._layouts[size] = (offsets, weights)
+            offsets, weights = layout
+            loads = np.bincount((assign + offsets).ravel(), weights,
+                                2 * size * self.n).reshape(2, size, self.n)
+        over = np.maximum(0.0, loads - self._caps).sum(axis=2)
+        return over[0] + over[1]
 
     def objective_many(self, assign: np.ndarray) -> np.ndarray:
-        return self.cost[self._rows[None, :], assign].sum(axis=1)
+        return self._gene_sums(assign)[0]
 
     def violation_many(self, assign: np.ndarray) -> np.ndarray:
-        size = assign.shape[0]
-        bins = (np.arange(size)[:, None] * self.n + assign).ravel()
-        cycles = self._loads(bins, self.demand_cycles, size)
-        mem = self._loads(bins, self.demand_mem, size)
-        over = np.maximum(0.0, cycles - self.cap_cycles).sum(axis=1)
-        over += np.maximum(0.0, mem - self.cap_mem).sum(axis=1)
-        over += self.deadline_over[self._rows[None, :], assign].sum(axis=1)
+        over = self._capacity_over(assign)
+        over += self._gene_sums(assign)[1]
         return over
 
-    def _loads(self, bins: np.ndarray, demand: np.ndarray, size: int) -> np.ndarray:
-        """Per-(row, node) demand sums, added in component order like a one-hot sum."""
-        if self.n == 1:  # one-hot sum over a contiguous axis: numpy adds it pairwise
-            return np.full((size, 1), demand.sum())
-        return np.bincount(bins, np.tile(demand, size),
-                           size * self.n).reshape(size, self.n)
-
     def fitness_many(self, assign: np.ndarray, penalty_lambda: float) -> np.ndarray:
-        return -(self.objective_many(assign) + penalty_lambda * self.violation_many(assign))
+        cost, late = self._gene_sums(assign)
+        over = self._capacity_over(assign)
+        over += late
+        return -(cost + penalty_lambda * over)
 
 
 def fitness(assignment: Assignment, inst: PlacementInstance,
@@ -177,7 +207,8 @@ def generate_population(inst: PlacementInstance, params: PlacementParams,
 def firefly_movement(pop: Population, inst: PlacementInstance, alpha: float,
                      beta: float, gamma: float, rng: np.random.Generator,
                      penalty_lambda: float = DEFAULT_PENALTY,
-                     tables: _CostTables | None = None) -> Population:
+                     tables: _CostTables | None = None,
+                     fit: np.ndarray | None = None) -> Population:
     """Discrete firefly pass over the whole population.
 
     Brightness is the fitness of the population at phase entry; attractor
@@ -194,14 +225,18 @@ def firefly_movement(pop: Population, inst: PlacementInstance, alpha: float,
     it, are a prefix of that copy and are updated in place. Each attractor
     with movers takes one (movers, genes) uniform draw whose rows follow
     mover index order; `ranks` reorders them onto the prefix, so the random
-    stream is consumed exactly as a per-mover gather would. `tables` is
-    built from `inst` when not given.
+    stream is consumed exactly as a per-mover gather would. The step to the
+    attractor gives the Hamming distance (its non-zero genes) and, with the
+    genes that stay zeroed, the move itself. Per-attractor results go into
+    buffers allocated once per pass. `tables` is built from `inst` when not
+    given; `fit`, the fitness of `pop.assign`, is computed when not given.
     """
     if tables is None:
         tables = _CostTables(inst)
-    snapshot = pop.assign.copy()
-    fit = tables.fitness_many(snapshot, penalty_lambda)
     assign = pop.assign
+    snapshot = assign.copy()
+    if fit is None:
+        fit = tables.fitness_many(snapshot, penalty_lambda)
     size, m = assign.shape
     order = np.argsort(fit, kind="stable")
     counts = np.searchsorted(fit[order], fit, side="left")
@@ -210,16 +245,31 @@ def firefly_movement(pop: Population, inst: PlacementInstance, alpha: float,
     ranks = np.zeros((size + 1, size), dtype=np.intp)
     np.cumsum(order[:, None] < order[None, :], axis=0, out=ranks[1:])
     r = np.arange(m + 1) / m
-    move_p = beta * np.exp(-gamma * r * r)  # indexed by Hamming distance
+    move_p = (beta * np.exp(-gamma * r * r))[:, None]  # row d: Hamming distance d
+    ones = np.ones(m)
     work = assign[order]
+    step = np.empty_like(work)
+    differs = np.empty(work.shape)  # 0/1 floats: a row's dot with ones is exact
+    drawn = np.empty(work.shape)
+    uniform = np.empty(work.shape)
+    moves = np.empty(work.shape, dtype=bool)
     for attractor, k in zip(snapshot, counts.tolist()):
         if k == 0:
             continue
         head = work[:k]
-        p = move_p[(head != attractor).sum(axis=1)]
-        u = rng.random((k, m)).take(ranks[k, :k], axis=0)
-        # a gene already equal to the attractor's is unchanged either way
-        work[:k] = np.where(u < p[:, None], attractor, head)
+        s = step[:k]
+        np.subtract(attractor, head, out=s)
+        d = differs[:k]
+        np.not_equal(s, 0, out=d)
+        p = move_p.take(d.dot(ones).astype(np.intp), axis=0)
+        u = drawn[:k]
+        rng.random(out=u)
+        v = uniform[:k]
+        u.take(ranks[k, :k], axis=0, out=v, mode="clip")
+        mv = moves[:k]
+        np.less(v, p, out=mv)
+        s *= mv  # a gene already equal to the attractor's has a zero step
+        head += s
     assign[order] = work
     if alpha > 0.0:
         noise = rng.random(assign.shape) < alpha
@@ -230,23 +280,28 @@ def firefly_movement(pop: Population, inst: PlacementInstance, alpha: float,
     return pop
 
 
-def pso_velocity(velocity, position, pbest_position, gbest_position,
-                 w: float, c1: float, c2: float, r1, r2):
-    """Velocity rule on arrays or scalars; r1, r2 are the random factors."""
-    return (w * velocity + c1 * r1 * (pbest_position - position)
-            + c2 * r2 * (gbest_position - position))
-
-
 def pso_update(pop: Population, inst: PlacementInstance, gbest_position: np.ndarray,
                w: float, c1: float, c2: float, rng: np.random.Generator) -> Population:
-    """One PSO move: velocity update, position clamp to [0, n-1], re-round."""
-    shape = pop.position.shape
-    r1 = rng.random(shape)
-    r2 = rng.random(shape)
-    pop.velocity[:] = pso_velocity(pop.velocity, pop.position, pop.pbest_position,
-                                   gbest_position[None, :], w, c1, c2, r1, r2)
-    pop.position[:] = np.clip(pop.position + pop.velocity, 0.0, inst.num_nodes - 1.0)
-    pop.assign[:] = np.rint(pop.position).astype(np.int64)
+    """One PSO move, in place: velocity update, position clamp to [0, n-1], re-round.
+
+    The velocity is w * v + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x),
+    evaluated in that order, with r1 and r2 uniform draws of the swarm's shape.
+    """
+    x, v = pop.position, pop.velocity
+    r1 = rng.random(x.shape)
+    r2 = rng.random(x.shape)
+    gap = np.subtract(pop.pbest_position, x)
+    r1 *= c1
+    r1 *= gap
+    np.subtract(gbest_position, x, out=gap)
+    r2 *= c2
+    r2 *= gap
+    v *= w
+    v += r1
+    v += r2
+    x += v
+    np.clip(x, 0.0, inst.num_nodes - 1.0, out=x)
+    pop.assign[:] = np.rint(x, out=gap)
     return pop
 
 
@@ -293,21 +348,16 @@ def _ga_offspring(assign: np.ndarray, fit: np.ndarray, params: PlacementParams,
     w = fit - fit.min() + ROULETTE_EPS
     cum = np.cumsum(w)
     picks = np.searchsorted(cum, rng.random(2 * ops) * cum[-1], side="right")
-    picks = np.minimum(picks, pop_size - 1)
-    p1 = assign[picks[0::2]]
-    p2 = assign[picks[1::2]]
+    np.minimum(picks, pop_size - 1, out=picks)
+    children = assign[picks]  # row 2i is the first parent of pair i, row 2i + 1 the second
     if m >= 2:
         crossed = rng.random(ops) < params.crossover_rate
         cuts = rng.integers(1, m, size=ops)
-        cuts = np.where(crossed, cuts, m)  # cut at m keeps both parents whole
-        left = np.arange(m)[None, :] < cuts[:, None]
-        c1 = np.where(left, p1, p2)
-        c2 = np.where(left, p2, p1)
-    else:
-        c1, c2 = p1.copy(), p2.copy()
-    children = np.empty((2 * ops, m), dtype=assign.dtype)
-    children[0::2] = c1
-    children[1::2] = c2
+        cuts[~crossed] = m  # cut at m keeps both parents whole
+        pairs = children.reshape(ops, 2, m)
+        # each child keeps its own parent's genes left of the cut, its partner's after
+        left = (np.arange(m) < cuts[:, None])[:, None, :]
+        children = np.where(left, pairs, pairs[:, ::-1]).reshape(2 * ops, m)
     mask = rng.random(children.shape) < params.mutation_rate
     hits = int(mask.sum())
     if hits:
@@ -348,8 +398,10 @@ def _run_engine(inst: PlacementInstance, params: PlacementParams,
             pop.assign = _ga_offspring(pop.assign, fit, params, inst.num_nodes, rng)
             pop.position = pop.assign.astype(float)
         if fa_phase:
+            # without a GA phase the population is the one `fit` was taken of
             firefly_movement(pop, inst, params.fa_alpha, params.fa_beta,
-                             params.fa_gamma, rng, lam, tables=tables)
+                             params.fa_gamma, rng, lam, tables=tables,
+                             fit=None if ga_phase else fit)
         if ga_phase and pso_phase:
             # Wholesale replacement created brand-new individuals: personal
             # bests are keyed to individuals, so each fresh one is its own
@@ -365,10 +417,10 @@ def _run_engine(inst: PlacementInstance, params: PlacementParams,
         fit = tables.fitness_many(pop.assign, lam)
         if pso_phase:
             improved = fit > pop.pbest_fitness
-            if improved.any():
-                pop.pbest_assign[improved] = pop.assign[improved]
-                pop.pbest_position[improved] = pop.position[improved]
-                pop.pbest_fitness[improved] = fit[improved]
+            np.copyto(pop.pbest_fitness, fit, where=improved)
+            improved = improved[:, None]
+            np.copyto(pop.pbest_assign, pop.assign, where=improved)
+            np.copyto(pop.pbest_position, pop.position, where=improved)
         best_idx = int(np.argmax(fit))
         if fit[best_idx] > gbest_fitness:  # ties keep the earlier incumbent
             gbest_fitness = float(fit[best_idx])

@@ -101,12 +101,14 @@ def test_non_dotted_config_key_rejected(tmp_path):
     ("sim.arrival_rate", 0),
     ("sim.arrival_rate", -1.0),
     ("place.slack", -1.0),
+    ("madcp.num_operations", 0),
     ("bench.generations", 0),
     ("bench.m", 0),
     ("bench.populations", "1"),
 ])
 def test_unfit_config_value_exits_1_naming_its_key(tmp_path, capsys, key, value):
-    command = {"sim": ["simulate"], "place": ["place", "--algorithms", "madcp"],
+    place = ["place", "--algorithms", "madcp"]
+    command = {"sim": ["simulate"], "place": place, "madcp": place,
                "bench": ["bench"]}.get(key.split(".")[0], ["train"])
     cfg = write_config(tmp_path / "c.json", {**FAST_TRAIN, **FAST_PLACE, key: value})
     assert run_cli([*command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from reinfog.placement import (
     madcp_run,
     pso_run,
     pso_update,
-    pso_velocity,
     random_instance,
     random_placement,
 )
@@ -199,6 +199,13 @@ def test_firefly_alpha_resamples():
     assert pop.assign.min() >= 0 and pop.assign.max() < 2
 
 
+def pso_velocity(velocity, position, pbest_position, gbest_position,
+                 w: float, c1: float, c2: float, r1, r2):
+    """Velocity rule on arrays or scalars; r1, r2 are the random factors."""
+    return (w * velocity + c1 * r1 * (pbest_position - position)
+            + c2 * r2 * (gbest_position - position))
+
+
 def test_pso_velocity_hand_case():
     assert pso_velocity(0.0, 0.0, 3.0, 3.0, w=0.7, c1=2.0, c2=2.0,
                         r1=0.5, r2=0.5) == 6.0
@@ -222,6 +229,28 @@ def test_pso_update_clamps_and_rounds():
     # velocities include attraction toward row 0 for row 1
     assert np.all(pop.position >= 0.0) and np.all(pop.position <= 3.0)
     assert np.array_equal(pop.assign, np.rint(pop.position).astype(int))
+
+
+def test_pso_update_matches_velocity_rule_bit_for_bit():
+    inst = random_instance(7, 5, np.random.default_rng(3))
+    params = PlacementParams(population_size=30)
+    pop = generate_population(inst, params, np.random.default_rng(4))
+    pop.position += np.random.default_rng(5).uniform(-0.4, 0.4, pop.position.shape)
+    gbest = pop.position[3].copy()
+    before = Population(*(np.copy(getattr(pop, f)) for f in
+                          ("assign", "position", "velocity", "pbest_assign",
+                           "pbest_position", "pbest_fitness")))
+    rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+    pso_update(pop, inst, gbest, 0.7, 2.0, 1.5, rng)
+    r1 = ref_rng.random(pop.position.shape)
+    r2 = ref_rng.random(pop.position.shape)
+    velocity = pso_velocity(before.velocity, before.position, before.pbest_position,
+                            gbest[None, :], 0.7, 2.0, 1.5, r1, r2)
+    position = np.clip(before.position + velocity, 0.0, inst.num_nodes - 1.0)
+    assert pop.velocity.tobytes() == velocity.tobytes()
+    assert pop.position.tobytes() == position.tobytes()
+    assert np.array_equal(pop.assign, np.rint(position).astype(np.int64))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_ga_offspring_count_and_range():
@@ -346,6 +375,18 @@ def test_params_validation():
         PlacementParams(crossover_rate=1.5)
     with pytest.raises(ValueError):
         PlacementParams(generations=0)
+    # with no operation the GA phase breeds an empty generation
+    with pytest.raises(ValueError, match="num_operations"):
+        PlacementParams(num_operations=0)
+    # NaN passes a `< 0` check: it would switch the firefly pass off or
+    # make every fitness NaN; a non-finite PSO weight breaks the re-rounding
+    for name, value in [("fa_gamma", float("nan")), ("penalty_lambda", float("nan")),
+                        ("penalty_lambda", float("inf")), ("fa_gamma", -0.5),
+                        ("pso_w", float("nan")), ("pso_c1", float("inf")),
+                        ("pso_c2", -float("inf"))]:
+        with pytest.raises(ValueError, match=name):
+            PlacementParams(**{name: value})
+    assert PlacementParams(num_operations=1).operations == 1
     assert PlacementParams.ga().crossover_rate == 0.9
     assert PlacementParams.fa().fa_gamma == 0.1
     assert PlacementParams.pso().population_size == 100
@@ -452,6 +493,61 @@ def test_firefly_matches_reference_loop(size, m):
         assign = tied_rows(rng, size, m, n)
         assert_firefly_matches_reference(assign, inst, tables, alpha, beta, gamma,
                                          seed=int(rng.integers(2 ** 32)))
+
+
+@pytest.mark.parametrize("size", [2, 50, 200])
+@pytest.mark.parametrize("m", [1, 30])
+@pytest.mark.parametrize("n", [1, 10])
+def test_firefly_matches_reference_loop_across_node_counts(size, m, n):
+    # one node makes every row tie; ten is the benchmark's node count
+    rng = np.random.default_rng([size, m, n])
+    inst = random_instance(m, n, rng, slack=0.7)
+    tables = _CostTables(inst)
+    for beta, gamma, alpha in itertools.product((0.0, 0.8, 1.0), (0.0, 0.5), (0.0, 0.3)):
+        assign = tied_rows(rng, size, m, n)
+        assert_firefly_matches_reference(assign, inst, tables, alpha, beta, gamma,
+                                         seed=int(rng.integers(2 ** 32)))
+
+
+def test_firefly_pass_memory_is_bounded():
+    # per-attractor draws keep the pass small: drawing every attractor's
+    # uniforms at once would take ~4.6 MiB at this size
+    inst = random_instance(30, 10, np.random.default_rng(8))
+    tables = _CostTables(inst)
+    pop = generate_population(inst, PlacementParams(population_size=200),
+                              np.random.default_rng(9), tables)
+    tracemalloc.start()
+    try:
+        firefly_movement(pop, inst, 0.2, 0.8, 0.5, np.random.default_rng(10),
+                         tables=tables)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+def _count_fitness_calls(monkeypatch, run, params):
+    calls = []
+    real = _CostTables.fitness_many
+
+    def counted(self, assign, penalty_lambda):
+        calls.append(assign.shape[0])
+        return real(self, assign, penalty_lambda)
+
+    monkeypatch.setattr(_CostTables, "fitness_many", counted)
+    run(random_instance(6, 3, np.random.default_rng(11)), params, rng=12)
+    return len(calls)
+
+
+def test_fitness_calls_per_generation(monkeypatch):
+    # fa_run's firefly pass reuses the fitness that closed the generation before
+    for gens in (1, 5):
+        assert _count_fitness_calls(monkeypatch, fa_run,
+                                    PlacementParams.fa(population_size=20, generations=gens)) \
+            == 1 + gens
+        assert _count_fitness_calls(monkeypatch, madcp_run,
+                                    PlacementParams.madcp(population_size=20, generations=gens)) \
+            == 1 + 3 * gens
 
 
 class _FixedFitness:
