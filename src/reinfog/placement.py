@@ -233,10 +233,9 @@ def firefly_movement(pop: Population, inst: PlacementInstance, alpha: float,
     """
     if tables is None:
         tables = _CostTables(inst)
-    assign = pop.assign
-    snapshot = assign.copy()
+    assign = pop.assign  # left as it is until the pass ends: its rows are the attractors
     if fit is None:
-        fit = tables.fitness_many(snapshot, penalty_lambda)
+        fit = tables.fitness_many(assign, penalty_lambda)
     size, m = assign.shape
     order = np.argsort(fit, kind="stable")
     counts = np.searchsorted(fit[order], fit, side="left")
@@ -249,20 +248,18 @@ def firefly_movement(pop: Population, inst: PlacementInstance, alpha: float,
     ones = np.ones(m)
     work = assign[order]
     step = np.empty_like(work)
-    differs = np.empty(work.shape)  # 0/1 floats: a row's dot with ones is exact
-    drawn = np.empty(work.shape)
+    drawn = np.empty(work.shape)  # first the 0/1 gene differences, then the uniforms
     uniform = np.empty(work.shape)
     moves = np.empty(work.shape, dtype=bool)
-    for attractor, k in zip(snapshot, counts.tolist()):
+    for attractor, k in zip(assign, counts.tolist()):
         if k == 0:
             continue
         head = work[:k]
         s = step[:k]
         np.subtract(attractor, head, out=s)
-        d = differs[:k]
-        np.not_equal(s, 0, out=d)
-        p = move_p.take(d.dot(ones).astype(np.intp), axis=0)
         u = drawn[:k]
+        np.not_equal(s, 0, out=u)
+        p = move_p.take(u.dot(ones).astype(np.intp), axis=0)  # exact 0/1 sums
         rng.random(out=u)
         v = uniform[:k]
         u.take(ranks[k, :k], axis=0, out=v, mode="clip")
