@@ -237,16 +237,14 @@ def test_pso_update_matches_velocity_rule_bit_for_bit():
     pop = generate_population(inst, params, np.random.default_rng(4))
     pop.position += np.random.default_rng(5).uniform(-0.4, 0.4, pop.position.shape)
     gbest = pop.position[3].copy()
-    before = Population(*(np.copy(getattr(pop, f)) for f in
-                          ("assign", "position", "velocity", "pbest_assign",
-                           "pbest_position", "pbest_fitness")))
+    velocity, position = pop.velocity.copy(), pop.position.copy()
     rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
     pso_update(pop, inst, gbest, 0.7, 2.0, 1.5, rng)
-    r1 = ref_rng.random(pop.position.shape)
-    r2 = ref_rng.random(pop.position.shape)
-    velocity = pso_velocity(before.velocity, before.position, before.pbest_position,
-                            gbest[None, :], 0.7, 2.0, 1.5, r1, r2)
-    position = np.clip(before.position + velocity, 0.0, inst.num_nodes - 1.0)
+    r1 = ref_rng.random(position.shape)
+    r2 = ref_rng.random(position.shape)
+    velocity = pso_velocity(velocity, position, pop.pbest_position, gbest[None, :],
+                            0.7, 2.0, 1.5, r1, r2)
+    position = np.clip(position + velocity, 0.0, inst.num_nodes - 1.0)
     assert pop.velocity.tobytes() == velocity.tobytes()
     assert pop.position.tobytes() == position.tobytes()
     assert np.array_equal(pop.assign, np.rint(position).astype(np.int64))
@@ -526,28 +524,19 @@ def test_firefly_pass_memory_is_bounded():
     assert peak < 2 * 2 ** 20
 
 
-def _count_fitness_calls(monkeypatch, run, params):
-    calls = []
-    real = _CostTables.fitness_many
-
-    def counted(self, assign, penalty_lambda):
-        calls.append(assign.shape[0])
-        return real(self, assign, penalty_lambda)
-
-    monkeypatch.setattr(_CostTables, "fitness_many", counted)
-    run(random_instance(6, 3, np.random.default_rng(11)), params, rng=12)
-    return len(calls)
-
-
 def test_fitness_calls_per_generation(monkeypatch):
     # fa_run's firefly pass reuses the fitness that closed the generation before
-    for gens in (1, 5):
-        assert _count_fitness_calls(monkeypatch, fa_run,
-                                    PlacementParams.fa(population_size=20, generations=gens)) \
-            == 1 + gens
-        assert _count_fitness_calls(monkeypatch, madcp_run,
-                                    PlacementParams.madcp(population_size=20, generations=gens)) \
-            == 1 + 3 * gens
+    calls = []
+    real = _CostTables.fitness_many
+    monkeypatch.setattr(_CostTables, "fitness_many",
+                        lambda self, assign, lam: calls.append(lam) or real(self, assign, lam))
+    inst = random_instance(6, 3, np.random.default_rng(11))
+    for run, make, per_generation in ((fa_run, PlacementParams.fa, 1),
+                                      (madcp_run, PlacementParams.madcp, 3)):
+        for gens in (1, 5):
+            calls.clear()
+            run(inst, make(population_size=20, generations=gens), rng=12)
+            assert len(calls) == 1 + per_generation * gens, run.__name__
 
 
 class _FixedFitness:
