@@ -8,6 +8,8 @@ import numpy as np
 
 from .explore import eps_greedy_lazy, epsilon_at
 from .network import (
+    ACTIVATIONS,
+    OPTIMIZERS,
     NetworkParams,
     dqn_update,
     forward,
@@ -42,6 +44,15 @@ class DqnConfig:
             raise ValueError("buffer must hold at least one batch")
         if self.target_sync_interval < 1:
             raise ValueError("target_sync_interval must be positive")
+        for name in ("eps_start", "eps_end"):
+            if not 0.0 <= getattr(self, name) <= 1.0:  # NaN fails too
+                raise ValueError(f"{name} must lie in [0, 1]")
+        if self.eps_decay_steps < 0:
+            raise ValueError("eps_decay_steps must be non-negative")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}: one of {OPTIMIZERS}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}: one of {ACTIVATIONS}")
 
 
 class DqnAgent:

@@ -252,7 +252,7 @@ def topo_order(dag: AppDag) -> list[int]:
     return list(dag._order)
 
 
-@dataclass(frozen=True)
+@dataclass
 class TaskRun:
     """Realized execution of one task."""
 

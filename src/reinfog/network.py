@@ -11,6 +11,7 @@ import numpy as np
 
 POLICY_FORMAT_VERSION = "1"
 ACTIVATIONS = ("relu", "tanh")
+OPTIMIZERS = ("sgd", "adam")
 
 
 class PolicyFormatError(ValueError):

@@ -273,7 +273,7 @@ def firefly_movement(pop: Population, inst: PlacementInstance, alpha: float,
         hits = int(noise.sum())
         if hits:
             assign[noise] = rng.integers(0, tables.n, hits)
-    pop.position[:] = assign
+    pop.position = assign.astype(float)  # a GA phase before may have resized `assign`
     return pop
 
 
@@ -391,9 +391,11 @@ def _run_engine(inst: PlacementInstance, params: PlacementParams,
     for gen in range(1, params.generations + 1):
         t0 = time.perf_counter()
         if ga_phase:
-            # a new generation: positions mirror it, swarm state is untouched
+            # a new generation: positions mirror it (a firefly pass that
+            # follows sets them), swarm state is untouched
             pop.assign = _ga_offspring(pop.assign, fit, params, inst.num_nodes, rng)
-            pop.position = pop.assign.astype(float)
+            if not fa_phase:
+                pop.position = pop.assign.astype(float)
         if fa_phase:
             # without a GA phase the population is the one `fit` was taken of
             firefly_movement(pop, inst, params.fa_alpha, params.fa_beta,

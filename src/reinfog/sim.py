@@ -29,9 +29,10 @@ Node memory is a static reservation: every task parked on a node reserves
 input_size + output_size MB for the rest of the run. Overflow marks the
 task failed but still executes it (the penalty lands in the reward).
 
-A state costs O(busy nodes): `encode_state` does pending-work arithmetic
-only for nodes busy past the decision time, and reads the other features
-from the sim, which keeps them.
+A state costs O(busy nodes): the sim keeps a state row with every node's
+idle features (spare capacity with nothing pending, spare memory, no
+backlog), and `encode_state` copies it, redoing the pending-work arithmetic
+and the backlog only for nodes busy past the decision time.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ class NormConstants:
                    mem=top(nd.mem_avail for nd in cluster.nodes))
 
 
-@dataclass(frozen=True)
+@dataclass
 class StepOutcome:
     """What one placement decision did to the schedule.
 
@@ -316,11 +317,12 @@ def _dependencies_met(app: AppDag, task: Task, runs: Mapping[int, TaskRun],
     """
     if not task.predecessors:
         return [], release
-    missing = [p for p in task.predecessors if p not in runs]
-    if missing:
+    try:
+        preds = [runs[p] for p in task.predecessors]
+    except KeyError:
+        missing = [p for p in task.predecessors if p not in runs]
         raise ValueError(f"app {app.id} task {task.id}: predecessors "
-                         f"{missing} not scheduled yet")
-    preds = [runs[p] for p in task.predecessors]
+                         f"{missing} not scheduled yet") from None
     return preds, max(release, max(run.finish_s for run in preds))
 
 
@@ -370,8 +372,10 @@ class IncrementalSim:
     max(node free time, data-ready time). peek() answers what a commit to
     each node would do, without changing anything.
 
-    commit also refreshes encode_state's spare-memory feature of its node,
-    so `committed_mem[node]` may change only in commit, or right before a
+    The sim keeps `encode_state`'s row with every node idle: per node the
+    spare capacity with nothing pending (constant), the spare memory and a
+    0.0 backlog. commit refreshes its node's spare memory in the row, so
+    `committed_mem[node]` may change only in commit, or right before a
     commit to that node, as `simulate_workload` writes it.
     """
 
@@ -394,11 +398,10 @@ class IncrementalSim:
         # for the pending-work feature; a node's finish times never decrease
         self._finish: list[list[float]] = [[] for _ in range(n)]
         self._cycles: list[list[float]] = [[] for _ in range(n)]
-        # encode_state's features per node: spare capacity with nothing
-        # pending (constant), and spare memory, which commit keeps current
-        self._idle_cap = [min(max(nd.compute_cap / self.norms.cap, 0.0), 1.0)
-                          for nd in cluster.nodes]
-        self._mem_feat = [self._spare_mem(i) for i in range(n)]
+        self._row = np.zeros(state_dim(n))  # the task's four slots stay 0.0
+        for i, nd in enumerate(cluster.nodes):
+            self._row[3 * i] = min(max(nd.compute_cap / self.norms.cap, 0.0), 1.0)
+            self._row[3 * i + 1] = self._spare_mem(i)
 
     def _spare_mem(self, node: int) -> float:
         spare = self.cluster.nodes[node].mem_avail - self.committed_mem[node]
@@ -457,7 +460,7 @@ class IncrementalSim:
             float(_sweep.energy_j[node]), float(_sweep.rt_s[node]), bool(_sweep.success[node]))
         self.node_free[node] = out.finish_s
         self.committed_mem[node] += task.input_size + task.output_size
-        self._mem_feat[node] = self._spare_mem(node)
+        self._row[3 * node + 1] = self._spare_mem(node)
         self._finish[node].append(out.finish_s)
         self._cycles[node].append(task.compute_req)
         self.runs[app.id][task.id] = TaskRun(node, out.start_s, out.finish_s,
@@ -496,21 +499,21 @@ def encode_state(cluster: ClusterSpec, sim: IncrementalSim, app: AppDag,
     """
     norms = sim.norms
     now = sim.dependencies_met_at(app, task)
-    feats: list[float] = []
-    backlogs = [max(free - now, 0.0) for free in sim.node_free]
-    max_backlog = max(backlogs)
-    for i, (backlog, idle_cap, mem) in enumerate(zip(backlogs, sim._idle_cap, sim._mem_feat)):
-        if backlog > 0.0:  # busy past `now`
-            spare = cluster.nodes[i].compute_cap - sim.pending_cycles(i, now)
-            feats += min(max(spare / norms.cap, 0.0), 1.0), mem, backlog / max_backlog
-        else:  # free by `now`: every task on it has finished, so none is pending
-            feats += idle_cap, mem, 0.0
+    state = sim._row.copy()  # a fresh array: run_episode keeps the states
+    # subtracting one `now` keeps the order, so this is the largest backlog
+    max_backlog = max(sim.node_free) - now
+    if max_backlog > 0.0:
+        for i, free in enumerate(sim.node_free):
+            if free > now:  # busy past `now`; an idle node has nothing pending
+                spare = cluster.nodes[i].compute_cap - sim.pending_cycles(i, now)
+                state[3 * i] = min(max(spare / norms.cap, 0.0), 1.0)
+                state[3 * i + 2] = (free - now) / max_backlog
     out_degree = len(app.successors()[task.id])
-    feats.append(min(task.compute_req / norms.compute, 1.0))
-    feats.append(min(task.input_size / norms.input_size, 1.0))
-    feats.append(min(task.output_size / norms.output_size, 1.0))
-    feats.append(min(out_degree / norms.out_degree, 1.0))
-    return np.array(feats)
+    state[-4] = min(task.compute_req / norms.compute, 1.0)
+    state[-3] = min(task.input_size / norms.input_size, 1.0)
+    state[-2] = min(task.output_size / norms.output_size, 1.0)
+    state[-1] = min(out_degree / norms.out_degree, 1.0)
+    return state
 
 
 def check_schedule(cluster: ClusterSpec, dags: Sequence[AppDag],

@@ -21,6 +21,16 @@ def test_config_validation():
         DqnConfig(discount=1.5)
     with pytest.raises(ValueError):
         DqnConfig(hidden_sizes=())
+    # each of these was accepted, or failed only once training started, before
+    # DqnConfig checked it
+    for key, value in (("eps_start", 1.5), ("eps_start", float("nan")),
+                       ("eps_end", -0.2), ("eps_end", float("nan")),
+                       ("eps_decay_steps", -5), ("optimizer", "adamw"),
+                       ("activation", "gelu")):
+        with pytest.raises(ValueError, match=key):
+            DqnConfig(**{key: value})
+    DqnConfig(eps_start=0.0, eps_end=1.0, eps_decay_steps=0, optimizer="sgd",
+              activation="tanh")
 
 
 def test_epsilon_decays_with_decisions():

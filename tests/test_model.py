@@ -33,6 +33,17 @@ from reinfog.model import (
 from reinfog.sim import IncrementalSim, uniform_cluster
 
 
+def test_task_run_keeps_its_repr_compares_by_value_and_checks_its_order():
+    run = TaskRun(2, 1.0, 3.5, energy_j=7.0)
+    assert repr(run) == ("TaskRun(node=2, start_s=1.0, finish_s=3.5, "
+                         "energy_j=7.0, success=True)")
+    assert run == TaskRun(2, 1.0, 3.5, 7.0, True)
+    assert run != TaskRun(2, 1.0, 3.5, 7.0, False)
+    TaskRun(0, 2.0, 2.0, 0.0)  # a zero-duration run
+    with pytest.raises(ValueError, match="finishes before it starts"):
+        TaskRun(0, 2.0, 1.0, 0.0)
+
+
 def small_instance() -> PlacementInstance:
     comps = (
         Component(0, compute_req=100.0, mem_req=512.0, deadline=2.0),

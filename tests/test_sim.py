@@ -17,6 +17,7 @@ from reinfog.model import (
     energy_consumption,
     response_time,
 )
+from reinfog import sim as sim_module
 from reinfog.sim import (
     _EPS,
     USER,
@@ -568,6 +569,55 @@ def test_encode_state_equals_the_per_node_loop_at_every_decision(n):
         seen.add("node origin" if origin != USER else "user origin")
     assert {"now falls", "busy node", "idle node", "clipped capacity", "clipped memory",
             "deadline", "releases", "no releases", "node origin", "user origin"} <= seen
+
+
+def test_encode_state_returns_a_fresh_array_at_every_call():
+    cluster = uniform_cluster(3)
+    workload = generate_workload(2, 8, rng=5)
+    sim = IncrementalSim(cluster, workload)
+    busy = False
+    for k, (app, task) in enumerate(_decision_order(workload, sim.releases)):
+        first = encode_state(cluster, sim, app, task)
+        expected = first.tobytes()
+        first[:] = -1.0  # run_episode keeps its states; a caller may write into one
+        second = encode_state(cluster, sim, app, task)
+        assert second.tobytes() == expected
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, sim._row)
+        assert not np.shares_memory(second, sim._row)
+        busy |= bool((second[2:9:3] > 0).any())
+        sim.commit(app, task, k % cluster.n)
+    assert busy
+
+
+def test_replay_keeps_the_state_row_memory_equal_to_committed_mem(monkeypatch):
+    """simulate_workload writes committed_mem before each commit; the kept
+    row's spare-memory entries must still follow it."""
+    made = []
+
+    class Recording(IncrementalSim):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(sim_module, "IncrementalSim", Recording)
+    rng = np.random.default_rng(7)
+    cluster = uniform_cluster(3, mem_avail=200.0)
+    workload = generate_workload(3, 12, rng=rng, density=0.3)
+    choices = {dag.id: {t.id: int(rng.integers(3)) for t in dag.tasks} for dag in workload}
+    simulate_workload(cluster, workload, choices, poisson_releases(workload, 2.0, rng=rng))
+    (sim,) = made
+    mems = [float(sim._row[3 * i + 1]) for i in range(cluster.n)]
+    assert mems == [sim._spare_mem(i) for i in range(cluster.n)]
+    assert all(0.0 < m < 1.0 for m in mems)
+
+
+def test_step_outcome_keeps_its_repr_and_compares_by_value():
+    out = StepOutcome(1, 0.5, 2.0, 3.0, 1.5, True)
+    assert repr(out) == ("StepOutcome(node=1, start_s=0.5, finish_s=2.0, "
+                         "energy_j=3.0, rt_s=1.5, success=True)")
+    assert out == StepOutcome(1, 0.5, 2.0, 3.0, 1.5, True)
+    assert out != StepOutcome(1, 0.5, 2.0, 3.0, 1.5, False)
 
 
 def test_brute_force_bound_on_small_workload():
