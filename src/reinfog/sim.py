@@ -398,7 +398,7 @@ class IncrementalSim:
         # for the pending-work feature; a node's finish times never decrease
         self._finish: list[list[float]] = [[] for _ in range(n)]
         self._cycles: list[list[float]] = [[] for _ in range(n)]
-        self._row = np.zeros(state_dim(n))  # the task's four slots stay 0.0
+        self._row = np.zeros(state_dim(n))  # encode_state fills the task slots of its copy
         for i, nd in enumerate(cluster.nodes):
             self._row[3 * i] = min(max(nd.compute_cap / self.norms.cap, 0.0), 1.0)
             self._row[3 * i + 1] = self._spare_mem(i)

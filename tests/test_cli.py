@@ -96,11 +96,9 @@ def test_non_dotted_config_key_rejected(tmp_path):
     ("dqn.batch_size", "4"),
     ("sync.batch_flush", 2.5),
     ("train.metric", "latency"),
-    # exited 0 before DqnConfig checked them
     ("dqn.eps_start", 1.5),
     ("dqn.eps_end", -0.2),
     ("dqn.eps_decay_steps", -5),
-    # exited 2, as runtime errors, before DqnConfig checked them
     ("dqn.optimizer", "adamw"),
     ("dqn.activation", "gelu"),
     # values only the library checks, while inputs are built from the config

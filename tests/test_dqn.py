@@ -21,8 +21,6 @@ def test_config_validation():
         DqnConfig(discount=1.5)
     with pytest.raises(ValueError):
         DqnConfig(hidden_sizes=())
-    # each of these was accepted, or failed only once training started, before
-    # DqnConfig checked it
     for key, value in (("eps_start", 1.5), ("eps_start", float("nan")),
                        ("eps_end", -0.2), ("eps_end", float("nan")),
                        ("eps_decay_steps", -5), ("optimizer", "adamw"),
