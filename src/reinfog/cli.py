@@ -228,6 +228,14 @@ def _meta(command: str, seed: int, **extra: object) -> dict[str, object]:
     return base
 
 
+def _write_out(args: argparse.Namespace, name: str, header: Sequence[str],
+               rows: Iterable[Sequence[object]], **extra: object) -> None:
+    """`name` written under --out with the command's metadata; says so on stdout."""
+    path = os.path.join(args.out, name)
+    write_csv(path, header, rows, _meta(args.command, args.seed, **extra))
+    print(f"wrote {path}")
+
+
 # ---------------------------------------------------------------------------
 # cluster / workload resolution
 
@@ -378,11 +386,9 @@ def cmd_place(args: argparse.Namespace, cfg: Config) -> int:
         print(f"place {alg}: mean best F {mean_f:.6f} "
               f"(feasible {feasible_count}/{args.reps})")
 
-    summary_path = os.path.join(args.out, "place_summary.csv")
-    write_csv(summary_path,
-              ("algorithm", "reps", "mean_best_F", "stdev_best_F", "feasible_rate"),
-              summary_rows, _meta("place", args.seed, **wall_meta))
-    print(f"wrote {summary_path}")
+    _write_out(args, "place_summary.csv",
+               ("algorithm", "reps", "mean_best_F", "stdev_best_F", "feasible_rate"),
+               summary_rows, **wall_meta)
     return 0
 
 
@@ -398,23 +404,20 @@ def cmd_train(args: argparse.Namespace, cfg: Config) -> int:
                               seed=args.seed)
     wall = time.perf_counter() - t0
 
-    rewards_path = os.path.join(args.out, "rewards.csv")
-    write_csv(rewards_path,
-              ("episode", "steps", "total_reward", "total_wc", "epsilon", "updates"),
-              [(r.episode, r.steps, r.total_reward, r.total_wc, r.epsilon, r.updates)
-               for r in result.trace],
-              _meta("train", args.seed, episodes=episodes, wall_s=f"{wall:.3f}"))
-
-    policy_path = os.path.join(args.out, "policy.json")
-    save_policy(result.policy, policy_path,
-                metadata={"episodes": episodes, "updates": result.updates,
-                          "state_dim": state_dim(cluster.n), "n_actions": cluster.n})
     if result.trace:
         print(f"train: {episodes} episodes, {result.updates} updates, "
               f"final wc {result.trace[-1].total_wc:.4f}")
     else:
         print(f"train: {episodes} episodes, policy left at initialization")
-    print(f"wrote {rewards_path}")
+    _write_out(args, "rewards.csv",
+               ("episode", "steps", "total_reward", "total_wc", "epsilon", "updates"),
+               [(r.episode, r.steps, r.total_reward, r.total_wc, r.epsilon, r.updates)
+                for r in result.trace],
+               episodes=episodes, wall_s=f"{wall:.3f}")
+    policy_path = os.path.join(args.out, "policy.json")
+    save_policy(result.policy, policy_path,
+                metadata={"episodes": episodes, "updates": result.updates,
+                          "state_dim": state_dim(cluster.n), "n_actions": cluster.n})
     print(f"wrote {policy_path}")
     return 0
 
@@ -466,23 +469,18 @@ def cmd_train_dist(args: argparse.Namespace, cfg: Config) -> int:
             f"experience loss: workers sent {sent}, "
             f"learner received {learner.received_experiences}")
 
-    dist_path = os.path.join(args.out, "train_dist.csv")
-    write_csv(dist_path,
-              ("worker_id", "episodes", "batches_sent", "experiences_sent"),
-              [(wid, r.episodes_run, r.batches_sent, r.experiences_sent)
-               for wid, r in sorted(reports.items())],
-              _meta("train-dist", args.seed, workers=args.workers,
-                    updates=learner.updates,
-                    policy_version=learner.policy_version,
-                    received=learner.received_experiences,
-                    wall_s=f"{wall:.3f}"))
-
+    print(f"train-dist: {args.workers} workers, {sent} experiences, "
+          f"{learner.updates} updates, policy version {learner.policy_version}")
+    _write_out(args, "train_dist.csv",
+               ("worker_id", "episodes", "batches_sent", "experiences_sent"),
+               [(wid, r.episodes_run, r.batches_sent, r.experiences_sent)
+                for wid, r in sorted(reports.items())],
+               workers=args.workers, updates=learner.updates,
+               policy_version=learner.policy_version,
+               received=learner.received_experiences, wall_s=f"{wall:.3f}")
     policy_path = os.path.join(args.out, "policy.json")
     save_policy(learner.agent.online, policy_path,
                 metadata={"workers": args.workers, "updates": learner.updates, **dims})
-    print(f"train-dist: {args.workers} workers, {sent} experiences, "
-          f"{learner.updates} updates, policy version {learner.policy_version}")
-    print(f"wrote {dist_path}")
     print(f"wrote {policy_path}")
     return 0
 
@@ -546,27 +544,18 @@ def cmd_simulate(args: argparse.Namespace, cfg: Config) -> int:
             run = config.entries[task_id]
             schedule_rows.append((dag.id, task_id, run.node, run.start_s,
                                   run.finish_s, run.energy_j, run.success))
-    schedule_path = os.path.join(args.out, "schedule.csv")
-    write_csv(schedule_path,
-              ("app_id", "task_id", "node", "start_s", "finish_s",
-               "energy_j", "success"),
-              schedule_rows,
-              _meta("simulate", args.seed, source=source, wall_s=f"{wall:.3f}"))
-
     failures = sum(not run.success for c in result.configs for run in c.entries.values())
-    metrics_path = os.path.join(args.out, "metrics.csv")
-    write_csv(metrics_path,
-              ("response_time_s", "energy_j", "weighted_cost",
-               "total_reward", "failures"),
-              [(result.total_rt, result.total_ec, result.total_wc,
-                fold_sum(result.rewards), failures)],
-              _meta("simulate", args.seed, source=source, wall_s=f"{wall:.3f}"))
-
     print(f"simulate {source}: rt {result.total_rt:.4f}s, "
           f"energy {result.total_ec:.2f}J, wc {result.total_wc:.4f}, "
           f"failures {failures}")
-    print(f"wrote {schedule_path}")
-    print(f"wrote {metrics_path}")
+    _write_out(args, "schedule.csv",
+               ("app_id", "task_id", "node", "start_s", "finish_s", "energy_j", "success"),
+               schedule_rows, source=source, wall_s=f"{wall:.3f}")
+    _write_out(args, "metrics.csv",
+               ("response_time_s", "energy_j", "weighted_cost", "total_reward", "failures"),
+               [(result.total_rt, result.total_ec, result.total_wc,
+                 fold_sum(result.rewards), failures)],
+               source=source, wall_s=f"{wall:.3f}")
     return 0
 
 
@@ -629,7 +618,7 @@ def cmd_bench(args: argparse.Namespace, cfg: Config) -> int:
         print(f"bench P={pop}: median generation {med:.3f} ms, "
               f"best F {result.objective_value:.4f}")
 
-    meta = _meta("bench", args.seed, m=m, n=n, generations=generations)
+    meta: dict[str, object] = {"m": m, "n": n, "generations": generations}
     for pop in populations:
         meta[f"median_gen_ms_p{pop}"] = f"{medians[pop]:.4f}"
     for pop in populations:
@@ -638,11 +627,8 @@ def cmd_bench(args: argparse.Namespace, cfg: Config) -> int:
             meta[f"doubling_ratio_p{pop}_p{pop * 2}"] = f"{ratio:.3f}"
             print(f"bench doubling P={pop}->{pop * 2}: ratio {ratio:.2f}")
 
-    bench_path = os.path.join(args.out, "bench.csv")
-    write_csv(bench_path,
-              ("population", "generations", "m", "n", "best_F", "feasible"),
-              rows, meta)
-    print(f"wrote {bench_path}")
+    _write_out(args, "bench.csv",
+               ("population", "generations", "m", "n", "best_F", "feasible"), rows, **meta)
     return 0
 
 

@@ -14,6 +14,8 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 def fold_sum(values: Iterable[float]) -> float:
     """Left-to-right sum, 0 when empty. Float `sum()` compensates its
@@ -197,8 +199,12 @@ class AppDag:
     """Tasks of one application plus their dependency index.
 
     Construction validates the DAG and derives, once, the id->task map,
-    the successor tuples and the topological order. These derived fields
-    take no part in ==, hash or repr.
+    the successor tuples, the topological order and, for the simulator,
+    read-only arrays by task position (task-list order): `_pos` maps an id
+    to its position, `_pred_pos[i]` holds task i's predecessors' positions,
+    `_edge_src`/`_edge_dst` list the edges task by task, and `_out`, `_in`,
+    `_compute` and `_is_source` are per task. These derived fields take no
+    part in ==, hash, repr or pickle.
     """
 
     id: int
@@ -206,6 +212,14 @@ class AppDag:
     _by_id: dict[int, Task] = field(init=False, repr=False, compare=False)
     _succ: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
     _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _pos: dict[int, int] = field(init=False, repr=False, compare=False)
+    _pred_pos: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _edge_src: np.ndarray = field(init=False, repr=False, compare=False)
+    _edge_dst: np.ndarray = field(init=False, repr=False, compare=False)
+    _out: np.ndarray = field(init=False, repr=False, compare=False)
+    _in: np.ndarray = field(init=False, repr=False, compare=False)
+    _compute: np.ndarray = field(init=False, repr=False, compare=False)
+    _is_source: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.tasks:
@@ -238,6 +252,25 @@ class AppDag:
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_succ", {tid: tuple(s) for tid, s in succ.items()})
         object.__setattr__(self, "_order", tuple(order))
+        pos = {t.id: i for i, t in enumerate(self.tasks)}
+        counts = [len(t.predecessors) for t in self.tasks]
+        index = {"_edge_src": np.array([pos[p] for t in self.tasks for p in t.predecessors],
+                                       dtype=np.intp),
+                 "_edge_dst": np.repeat(np.arange(len(counts)), counts),
+                 "_out": np.array([t.output_size for t in self.tasks]),
+                 "_in": np.array([t.input_size for t in self.tasks]),
+                 "_compute": np.array([t.compute_req for t in self.tasks]),
+                 "_is_source": np.array(counts) == 0}
+        for name, a in index.items():
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "_pos", pos)
+        # views of the read-only edge list, so read-only too
+        object.__setattr__(self, "_pred_pos", tuple(np.split(self._edge_src,
+                                                             np.cumsum(counts)[:-1])))
+
+    def __reduce__(self):  # unpickling derives the index afresh, read-only
+        return AppDag, (self.id, self.tasks)
 
     def task(self, task_id: int) -> Task:
         return self._by_id[task_id]

@@ -129,7 +129,7 @@ def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     last = len(params.weights) - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = a @ w  # a fresh array, so the caller's `x` is never written
+        a = a.dot(w)  # a fresh array, so the caller's `x` is never written; same bits as @
         a += b
         if l != last:
             _activate(a, params.activation, out=a)

@@ -11,12 +11,15 @@ check.
 
 `ClusterSpec` builds its link and node tables once: latency and bandwidth
 by (source endpoint, destination node), with a free diagonal, and
-capacity, memory and power by node. `IncrementalSim.peek` is the array
-form of `_data_ready` and `_run_on` over those tables: one numpy pass over
-predecessors x nodes answers what committing the task would do on every
-node, and each entry equals the scalar result bit for bit. The greedy
-baseline prices that sweep with `_incremental_cost`, built on the same
-`_metric_cost` as the rewards.
+capacity, memory and power by node. `AppDag` builds its index once: task
+positions, predecessor positions, the edge list and per-task sizes.
+`IncrementalSim.peek` is the array form of `_data_ready` and `_run_on` over
+those tables: one numpy pass over predecessors x nodes answers what
+committing the task would do on every node, and each entry equals the
+scalar result bit for bit. The greedy baseline prices that sweep with
+`_incremental_cost`, built on the same `_metric_cost` as the rewards.
+`check_schedule` re-derives every ready time of a finished schedule in one
+array pass over the whole workload's edges.
 
 The engine is driven in two orders. Decision order commits one decision
 at a time as an agent makes them: `run_episode` and the baselines drive it,
@@ -345,11 +348,8 @@ def _data_ready(cluster: ClusterSpec, app: AppDag, task: Task, node: int,
 
 
 def _run_on(compute_cap, power_draw, task: Task, start):
-    """(finish, energy, deadline met) of `task` started at `start` on a node.
-
-    Elementwise: `IncrementalSim.peek` passes every node's capacity, power
-    and start time as arrays.
-    """
+    """(finish, energy, deadline met) of `task` started at `start` on a node;
+    `IncrementalSim.peek` keeps its arithmetic, by node, in per-app rows."""
     duration = task.compute_req / compute_cap
     finish = start + duration
     in_time = task.deadline is None or finish <= task.deadline + _EPS
@@ -399,6 +399,11 @@ class IncrementalSim:
         self._finish: list[list[float]] = [[] for _ in range(n)]
         self._cycles: list[list[float]] = [[] for _ in range(n)]
         self._row = np.zeros(state_dim(n))  # encode_state fills the task slots of its copy
+        self._nodes = np.arange(n)
+        self._nodes.flags.writeable = False
+        self._mem_cap = cluster._memory + _EPS
+        # per app id: (duration, energy) by task position x node, built on its first peek
+        self._cost_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for i, nd in enumerate(cluster.nodes):
             self._row[3 * i] = min(max(nd.compute_cap / self.norms.cap, 0.0), 1.0)
             self._row[3 * i + 1] = self._spare_mem(i)
@@ -424,18 +429,20 @@ class IncrementalSim:
     def peek(self, app: AppDag, task: Task) -> StepOutcome:
         """What committing `task` would do on every node, as arrays by node.
 
-        The array form of `_data_ready` over the cluster's link tables,
-        then `_run_on` and the memory check elementwise. Each operation
+        The array form of `_data_ready` over the cluster's link tables and
+        the app's index, then `_run_on` from the app's duration and energy
+        rows (built on its first peek) and the memory check. Each operation
         keeps the scalar order, so entry j equals, bit for bit, what
         `commit(app, task, j)` would return.
         """
         cl = self.cluster
         release = self.releases[app.id]
         preds, met = _dependencies_met(app, task, self.runs[app.id], release)
+        i = app._pos[task.id]
         if preds:
             src = [run.node for run in preds]
             fin = np.array([run.finish_s for run in preds])
-            size = np.array([app.task(p).output_size for p in task.predecessors])
+            size = app._out.take(app._pred_pos[i])
             arrivals = fin[:, None] + (cl._latency.take(src, axis=0)
                                        + size[:, None] / cl._bandwidth.take(src, axis=0))
             ready = np.maximum(release, arrivals.max(axis=0))
@@ -443,16 +450,26 @@ class IncrementalSim:
             ready = release + (cl._latency[self.origin]
                                + task.input_size / cl._bandwidth[self.origin])
         start = np.maximum(np.array(self.node_free), ready)
-        finish, energy, in_time = _run_on(cl._capacity, cl._power, task, start)
+        rows = self._cost_rows.get(app.id)
+        if rows is None:
+            duration = app._compute[:, None] / cl._capacity  # `_run_on`'s arithmetic
+            rows = self._cost_rows[app.id] = duration, cl._power * duration
+            for table in rows:  # peek hands out views of them
+                table.flags.writeable = False
+        finish = start + rows[0][i]
         footprint = task.input_size + task.output_size
-        fits = np.array(self.committed_mem) + footprint <= cl._memory + _EPS
-        return StepOutcome(np.arange(cl.n), start, finish, energy, finish - met,
-                           fits & in_time)
+        success = np.array(self.committed_mem) + footprint <= self._mem_cap
+        if task.deadline is not None:
+            success &= finish <= task.deadline + _EPS
+        return StepOutcome(self._nodes, start, finish, rows[1][i], finish - met, success)
 
     def commit(self, app: AppDag, task: Task, node: int,
                _sweep: StepOutcome | None = None) -> StepOutcome:
         """Schedule `task` on `node`. Greedy passes `peek`'s sweep of this
         task, whose entry for `node` equals the scalar outcome bit for bit."""
+        if not 0 <= node < len(self.node_free):
+            raise ValueError(f"app {app.id} task {task.id}: node {node} is not "
+                             f"in [0, {len(self.node_free)})")
         if task.id in self.runs[app.id]:
             raise ValueError(f"app {app.id} task {task.id} already scheduled")
         out = self._outcome(app, task, node) if _sweep is None else StepOutcome(
@@ -519,28 +536,82 @@ def encode_state(cluster: ClusterSpec, sim: IncrementalSim, app: AppDag,
 def check_schedule(cluster: ClusterSpec, dags: Sequence[AppDag],
                    configs: Sequence[ScheduleConfig],
                    origin: int = USER) -> None:
-    """Causality and per-node no-overlap checks; raises on violation."""
+    """Causality and per-node no-overlap checks in one array pass over the
+    apps' indexes. ValueError names the first violation by app, then task,
+    or what is malformed: an app without a config or with two, uncovered
+    tasks, a node outside [0, n), a time that is not finite.
+
+    `np.maximum.at` takes each edge's arrival (predecessor finish plus
+    transfer) into its task's release, and a source's input leaves the
+    origin at the release: `_data_ready`'s IEEE operations, bit for bit.
+    """
+    n = cluster.n
+    if origin != USER and not 0 <= origin < n:  # numpy would wrap -2 to a node's row
+        raise ValueError(f"origin {origin} is neither a node nor the user {USER}")
     by_id = {cfg.app_id: cfg for cfg in configs}
-    intervals: dict[int, list[tuple[float, float]]] = {}
-    for dag in dags:
-        cfg = by_id[dag.id]
-        if set(cfg.entries) != {t.id for t in dag.tasks}:
-            raise ValueError(f"app {dag.id}: schedule does not cover all tasks")
-        for task in dag.tasks:
-            run = cfg.entries[task.id]
-            ready, _ = _data_ready(cluster, dag, task, run.node, cfg.entries,
-                                   cfg.release_s, origin)
-            if run.start_s < ready - _EPS:
-                raise ValueError(
-                    f"app {dag.id} task {task.id} starts at {run.start_s} "
-                    f"before its inputs arrive at {ready}")
-            intervals.setdefault(run.node, []).append((run.start_s, run.finish_s))
-    for node, spans in intervals.items():
-        spans.sort()
-        for (s0, f0), (s1, _) in zip(spans, spans[1:]):
-            if s1 < f0 - _EPS:
-                raise ValueError(f"node {node} runs two tasks at once "
-                                 f"({s0},{f0}) vs start {s1}")
+    if len(by_id) != len(configs):
+        twice = next(a for a in by_id if sum(cfg.app_id == a for cfg in configs) > 1)
+        raise ValueError(f"app {twice}: more than one schedule config")
+    apps, runs, problem = [], [], None
+    for dag in dags:  # an earlier app's causality is named before a later gap
+        if dag.id not in by_id or by_id[dag.id].entries.keys() != dag._by_id.keys():
+            problem = f"app {dag.id}: " + ("schedule does not cover all tasks"
+                                           if dag.id in by_id else "no schedule config")
+            break
+        apps.append(dag)
+        runs.extend(map(by_id[dag.id].entries.__getitem__, dag._by_id))
+    counts = np.array([len(dag.tasks) for dag in apps], dtype=np.intp)
+    first = np.cumsum(counts) - counts  # each app's first task position
+
+    def name(k: int) -> str:
+        d = int(np.searchsorted(first, k, side="right")) - 1
+        return f"app {apps[d].id} task {apps[d].tasks[k - first[d]].id}"
+
+    nodes = [run.node for run in runs]
+    node = np.array(nodes)
+    if node.dtype.kind not in "biu":  # a float or another object: no node id
+        node = np.array([v if isinstance(v, (int, np.integer)) else -1 for v in nodes])
+    start = np.array([run.start_s for run in runs], dtype=float)
+    finish = np.array([run.finish_s for run in runs], dtype=float)
+    release = np.repeat(np.array([by_id[dag.id].release_s for dag in apps], float), counts)
+    bad = (node < 0) | (node >= n) | ~(np.isfinite(start) & np.isfinite(finish)
+                                        & np.isfinite(release))
+    if bad.any():  # before any indexing by node: numpy wraps -1 to the last
+        k = int(np.argmax(bad))
+        raise ValueError(f"{name(k)}: node {nodes[k]!r} must lie in [0, {n}), release "
+                         f"{release[k]}, start {runs[k].start_s} and finish "
+                         f"{runs[k].finish_s} be finite")
+    node = node.astype(np.intp)
+    if apps:
+        lat, bw = cluster._latency, cluster._bandwidth
+        shift = np.repeat(first, [len(dag._edge_src) for dag in apps])
+        src = np.concatenate([dag._edge_src for dag in apps]) + shift
+        dst = np.concatenate([dag._edge_dst for dag in apps]) + shift
+        sn, dn = node[src], node[dst]
+        out = np.concatenate([dag._out for dag in apps])[src]
+        ready = release.copy()
+        np.maximum.at(ready, dst, finish[src] + (lat[sn, dn] + out / bw[sn, dn]))
+        source = np.concatenate([dag._is_source for dag in apps])
+        sn = node[source]
+        ready[source] = release[source] + (lat[origin, sn] + np.concatenate(
+            [dag._in for dag in apps])[source] / bw[origin, sn])
+        late = start < ready - _EPS
+        if late.any():
+            k = int(np.argmax(late))
+            raise ValueError(f"{name(k)} starts at {runs[k].start_s} "
+                             f"before its inputs arrive at {float(ready[k])}")
+    if problem:
+        raise ValueError(problem)
+    order = np.lexsort((finish, start, node))
+    on, s, f = node[order], start[order], finish[order]
+    clash = np.flatnonzero((on[1:] == on[:-1]) & (s[1:] < f[:-1] - _EPS))
+    if clash.size:  # name the node whose first task comes first, as the dict loop did
+        seen = np.full(n, len(runs))
+        np.minimum.at(seen, node, np.arange(len(runs)))
+        k = clash[np.argmin(seen[on[clash]])]
+        a, b = runs[order[k]], runs[order[k + 1]]
+        raise ValueError(f"node {a.node} runs two tasks at once "
+                         f"({a.start_s},{a.finish_s}) vs start {b.start_s}")
 
 
 def _decision_order(workload: Sequence[AppDag],

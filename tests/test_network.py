@@ -92,6 +92,30 @@ def test_forward_on_one_state_equals_a_one_row_batch_bit_for_bit(sizes, activati
     assert forward(net, states).tobytes() == _forward_reference(net, states).tobytes()
 
 
+def _forward_at_operator(params, x):
+    """forward written with `@`: `forward` uses `ndarray.dot`, which must give its bits."""
+    a = np.asarray(x, dtype=float)
+    last = len(params.weights) - 1
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        a = a @ w + b
+        if l != last:
+            a = np.maximum(a, 0.0) if params.activation == "relu" else np.tanh(a)
+    return a
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("sizes", [(52, 64, 64, 32, 16), (13, 64, 64, 32, 3)])
+def test_forward_dot_equals_the_at_operator_bit_for_bit(sizes, activation):
+    rng = np.random.default_rng([7, sizes[0]])
+    net = NetworkParams.glorot(sizes, activation, rng)
+    net.flat += rng.normal(scale=0.1, size=net.flat.shape)  # biases off zero
+    states = rng.random((4096, sizes[0]))
+    for x in states:
+        assert forward(net, x).tobytes() == _forward_at_operator(net, x).tobytes()
+    for batch in states.reshape(64, 64, sizes[0]):
+        assert forward(net, batch).tobytes() == _forward_at_operator(net, batch).tobytes()
+
+
 def test_glorot_bounds_and_seeding():
     net = NetworkParams.glorot((10, 20, 5), rng=7)
     for l, w in enumerate(net.weights):
