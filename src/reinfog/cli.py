@@ -158,13 +158,7 @@ def load_config(path: str) -> Config:
     numbers finite and not booleans, integers integral. null leaves the
     default in place.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config {path} is not valid JSON: {exc}") from exc
+    doc = _read_input("config", path, lambda doc: doc)
     if not isinstance(doc, dict):
         raise CliError(f"config {path} must hold a JSON object")
     cfg: Config = {}
@@ -219,13 +213,8 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]
 
 
 def _meta(command: str, seed: int, **extra: object) -> dict[str, object]:
-    base: dict[str, object] = {
-        "command": command,
-        "seed": seed,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
-    base.update(extra)
-    return base
+    return {"command": command, "seed": seed,
+            "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"), **extra}
 
 
 def _write_out(args: argparse.Namespace, name: str, header: Sequence[str],
@@ -334,14 +323,6 @@ def _resolve_instance(cfg: Config, rng: np.random.Generator):
         return random_instance(m, n, rng=rng, slack=cfg.get("place.slack", 2.0))
 
 
-def _trace_rows(result: PlacementResult, timing: bool) -> list[tuple]:
-    return [
-        (r.generation, r.best_fitness, r.best_F, r.feasible,
-         r.elapsed_ms if timing else 0.0)
-        for r in result.trace.rows
-    ]
-
-
 def cmd_place(args: argparse.Namespace, cfg: Config) -> int:
     raw = args.algorithms or cfg.get("place.algorithms", "madcp,ga,fa,pso")
     algorithms = [a.strip() for a in raw.split(",") if a.strip()]
@@ -369,12 +350,11 @@ def cmd_place(args: argparse.Namespace, cfg: Config) -> int:
             inst = fixed if fixed is not None else _resolve_instance(
                 cfg, np.random.default_rng([args.seed, rep]))
             rng = np.random.default_rng([args.seed, rep, sorted(known).index(alg)])
-            if alg == "random":
-                result = random_placement(inst, rng)
-            else:
-                result = _SEARCH_RUNNERS[alg](inst, params, rng)
-            trace_path = os.path.join(args.out, f"place_{alg}_rep{rep:02d}.csv")
-            write_csv(trace_path, header, _trace_rows(result, args.timing),
+            result = (random_placement(inst, rng) if alg == "random"
+                      else _SEARCH_RUNNERS[alg](inst, params, rng))
+            write_csv(os.path.join(args.out, f"place_{alg}_rep{rep:02d}.csv"), header,
+                      [(r.generation, r.best_fitness, r.best_F, r.feasible,
+                        r.elapsed_ms if args.timing else 0.0) for r in result.trace.rows],
                       _meta("place", args.seed, algorithm=alg, rep=rep))
             finals.append(result.objective_value)
             feasible_count += int(result.feasible)
@@ -423,12 +403,8 @@ def cmd_train(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def _listen_endpoint(args: argparse.Namespace) -> tuple[str, int]:
-    if args.listen is not None:
-        return parse_endpoint(args.listen)
-    env = os.environ.get(ENDPOINT_ENV_VAR)
-    if env is not None:
-        return parse_endpoint(env)
-    return "127.0.0.1", 0
+    text = os.environ.get(ENDPOINT_ENV_VAR) if args.listen is None else args.listen
+    return ("127.0.0.1", 0) if text is None else parse_endpoint(text)
 
 
 def cmd_train_dist(args: argparse.Namespace, cfg: Config) -> int:
@@ -501,12 +477,7 @@ def _policy_from_file(path: str, cluster: ClusterSpec) -> Callable[[np.ndarray],
         raise CliError(
             f"policy shape {params.layer_sizes} does not fit a {cluster.n}-node "
             f"cluster (needs {inputs} inputs, {cluster.n} outputs)")
-
-    def act(state: np.ndarray) -> int:
-        q = forward(params, np.asarray(state, dtype=float))
-        return int(np.argmax(q))
-
-    return act
+    return lambda state: int(np.argmax(forward(params, np.asarray(state, dtype=float))))
 
 
 def cmd_simulate(args: argparse.Namespace, cfg: Config) -> int:
@@ -538,12 +509,9 @@ def cmd_simulate(args: argparse.Namespace, cfg: Config) -> int:
                            "['greedy', 'random', 'round_robin']")
     wall = time.perf_counter() - t0
 
-    schedule_rows = []
-    for dag, config in zip(workload, result.configs):
-        for task_id in sorted(config.entries):
-            run = config.entries[task_id]
-            schedule_rows.append((dag.id, task_id, run.node, run.start_s,
-                                  run.finish_s, run.energy_j, run.success))
+    schedule_rows = [(dag.id, task_id, run.node, run.start_s, run.finish_s, run.energy_j,
+                      run.success) for dag, config in zip(workload, result.configs)
+                     for task_id, run in sorted(config.entries.items())]
     failures = sum(not run.success for c in result.configs for run in c.entries.values())
     print(f"simulate {source}: rt {result.total_rt:.4f}s, "
           f"energy {result.total_ec:.2f}J, wc {result.total_wc:.4f}, "
@@ -572,14 +540,9 @@ def cmd_oracle(args: argparse.Namespace, cfg: Config) -> int:
         raise CliError(str(exc)) from exc
     wall = time.perf_counter() - t0
 
-    fit = fitness(assignment, inst)
-    doc = {
-        "m": inst.num_components,
-        "n": inst.num_nodes,
-        "assignment": list(assignment.node_of),
-        "objective_value": best_f,
-        "fitness": fit,
-    }
+    doc = {"m": inst.num_components, "n": inst.num_nodes,
+           "assignment": list(assignment.node_of), "objective_value": best_f,
+           "fitness": fitness(assignment, inst)}
     oracle_path = os.path.join(args.out, "oracle.json")
     with open(oracle_path, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -611,16 +574,14 @@ def cmd_bench(args: argparse.Namespace, cfg: Config) -> int:
     medians: dict[int, float] = {}
     for pop, params in zip(populations, runs):
         result = madcp_run(inst, params, rng=np.random.default_rng([args.seed, 1, pop]))
-        med = statistics.median(result.trace.generation_times_ms())
-        medians[pop] = med
+        med = medians[pop] = statistics.median(result.trace.generation_times_ms())
         rows.append((pop, generations, m, n, result.objective_value,
                      result.feasible))
         print(f"bench P={pop}: median generation {med:.3f} ms, "
               f"best F {result.objective_value:.4f}")
 
-    meta: dict[str, object] = {"m": m, "n": n, "generations": generations}
-    for pop in populations:
-        meta[f"median_gen_ms_p{pop}"] = f"{medians[pop]:.4f}"
+    meta: dict[str, object] = {"m": m, "n": n, "generations": generations,
+                               **{f"median_gen_ms_p{p}": f"{v:.4f}" for p, v in medians.items()}}
     for pop in populations:
         if pop * 2 in medians and medians[pop] > 0:
             ratio = medians[pop * 2] / medians[pop]

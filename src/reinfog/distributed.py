@@ -155,11 +155,7 @@ def replay_arrivals(arrivals: list[tuple[str, int, Transitions]],
     rng = np.random.default_rng(seed)
     agent = DqnAgent(state_dim, n_actions, cfg, rng=rng, initial=initial)
     core = _TrainerCore(agent, rng)
-    updates = 0
-    for _, _, batch in arrivals:
-        if core.ingest(batch):
-            updates += 1
-    return updates, agent.online
+    return sum(core.ingest(batch) for _, _, batch in arrivals), agent.online
 
 
 class _Session:
@@ -235,8 +231,7 @@ class Learner:
     @property
     def address(self) -> tuple[str, int]:
         assert self._listener is not None, "learner not started"
-        host, port = self._listener.getsockname()[:2]
-        return host, port
+        return tuple(self._listener.getsockname()[:2])
 
     def stop(self, reason: str = "server stopped") -> None:
         if not self._stop.is_set():
@@ -381,7 +376,8 @@ class Learner:
                     continue
                 self.updates += 1
                 if self.updates % self.sync.sync_interval == 0:
-                    self._broadcast_policy()
+                    self.policy_version += 1
+                    self._broadcast(PolicySync(self.policy_version, self.agent.online))
                 if self._max_updates is not None \
                         and self.updates >= self._max_updates:
                     self._broadcast(Shutdown("training complete"))
@@ -391,10 +387,6 @@ class Learner:
             self.stop(f"trainer failed: {exc!r}")
         finally:
             self._train_done.set()
-
-    def _broadcast_policy(self) -> None:
-        self.policy_version += 1
-        self._broadcast(PolicySync(self.policy_version, self.agent.online))
 
     def _broadcast(self, msg: WireMessage) -> None:
         """Encode `msg` once and send the same bytes to every session."""
@@ -552,12 +544,9 @@ def worker_loop(endpoint: tuple[str, int] | None, worker_id: str,
         if receiver.is_alive():
             receiver.join(timeout=1.0)
 
-    return WorkerReport(worker_id=worker_id, episodes_run=episodes_run,
-                        batches_sent=batches,
-                        experiences_sent=experiences_sent,
-                        episode_rewards=tuple(rewards),
-                        episode_wc=tuple(wcs),
-                        decision_log=tuple(decision_log),
+    return WorkerReport(worker_id=worker_id, episodes_run=episodes_run, batches_sent=batches,
+                        experiences_sent=experiences_sent, episode_rewards=tuple(rewards),
+                        episode_wc=tuple(wcs), decision_log=tuple(decision_log),
                         versions_seen=tuple(mailbox.versions_seen),
                         shutdown_reason=shutdown_reason[0])
 
@@ -605,9 +594,7 @@ def centralized_mode(cluster: ClusterSpec, workload, episodes: int,
 
     def drain(everything: bool = False) -> None:
         nonlocal updates
-        for batch in _take_batches(pending, sync.batch_flush, everything):
-            if core.ingest(batch):
-                updates += 1
+        updates += sum(map(core.ingest, _take_batches(pending, sync.batch_flush, everything)))
 
     for episode in range(episodes):
         result = run_episode(cluster, workload, agent.act, spec,

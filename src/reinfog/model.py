@@ -118,15 +118,8 @@ def _check_assignment_shape(assignment: Assignment, inst: PlacementInstance) -> 
 
 
 def objective(assignment: Assignment, inst: PlacementInstance) -> float:
-    """Weighted placement cost: sum over components of w1*time + w2*energy.
-
-    Args:
-        assignment: node index per component.
-        inst: instance with components, nodes, and objective weights.
-
-    Returns:
-        The scalar objective value (lower is better).
-    """
+    """Weighted placement cost, lower is better: the sum over components of
+    w1 * time + w2 * energy on the node the assignment gives each."""
     _check_assignment_shape(assignment, inst)
     total = 0.0
     for comp, j in zip(inst.components, assignment.node_of):
@@ -202,9 +195,9 @@ class AppDag:
     the successor tuples, the topological order and, for the simulator,
     read-only arrays by task position (task-list order): `_pos` maps an id
     to its position, `_pred_pos[i]` holds task i's predecessors' positions,
-    `_edge_src`/`_edge_dst` list the edges task by task, and `_out`, `_in`,
-    `_compute` and `_is_source` are per task. These derived fields take no
-    part in ==, hash, repr or pickle.
+    `_edge_src`/`_edge_dst` list the edges task by task, and `_out`, `_in`
+    and `_is_source` are per task. These derived fields take no part in ==,
+    hash or repr.
     """
 
     id: int
@@ -218,7 +211,6 @@ class AppDag:
     _edge_dst: np.ndarray = field(init=False, repr=False, compare=False)
     _out: np.ndarray = field(init=False, repr=False, compare=False)
     _in: np.ndarray = field(init=False, repr=False, compare=False)
-    _compute: np.ndarray = field(init=False, repr=False, compare=False)
     _is_source: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -259,7 +251,6 @@ class AppDag:
                  "_edge_dst": np.repeat(np.arange(len(counts)), counts),
                  "_out": np.array([t.output_size for t in self.tasks]),
                  "_in": np.array([t.input_size for t in self.tasks]),
-                 "_compute": np.array([t.compute_req for t in self.tasks]),
                  "_is_source": np.array(counts) == 0}
         for name, a in index.items():
             a.flags.writeable = False
@@ -268,9 +259,6 @@ class AppDag:
         # views of the read-only edge list, so read-only too
         object.__setattr__(self, "_pred_pos", tuple(np.split(self._edge_src,
                                                              np.cumsum(counts)[:-1])))
-
-    def __reduce__(self):  # unpickling derives the index afresh, read-only
-        return AppDag, (self.id, self.tasks)
 
     def task(self, task_id: int) -> Task:
         return self._by_id[task_id]

@@ -172,9 +172,7 @@ class _CostTables:
         return self._gene_sums(assign)[0]
 
     def violation_many(self, assign: np.ndarray) -> np.ndarray:
-        over = self._capacity_over(assign)
-        over += self._gene_sums(assign)[1]
-        return over
+        return self._capacity_over(assign) + self._gene_sums(assign)[1]
 
     def fitness_many(self, assign: np.ndarray, penalty_lambda: float) -> np.ndarray:
         cost, late = self._gene_sums(assign)

@@ -224,7 +224,6 @@ class NormConstants:
     def from_workload(cls, cluster: ClusterSpec,
                       workload: Sequence[AppDag]) -> "NormConstants":
         tasks = [t for dag in workload for t in dag.tasks]
-        degs = [len(succ) for dag in workload for succ in dag.successors().values()]
 
         def top(vals: Iterable[float]) -> float:
             m = max(vals, default=0.0)
@@ -233,7 +232,8 @@ class NormConstants:
         return cls(compute=top(t.compute_req for t in tasks),
                    input_size=top(t.input_size for t in tasks),
                    output_size=top(t.output_size for t in tasks),
-                   out_degree=top(float(d) for d in degs),
+                   out_degree=top(float(len(succ)) for dag in workload
+                                  for succ in dag.successors().values()),
                    cap=top(nd.compute_cap for nd in cluster.nodes),
                    mem=top(nd.mem_avail for nd in cluster.nodes))
 
@@ -348,8 +348,11 @@ def _data_ready(cluster: ClusterSpec, app: AppDag, task: Task, node: int,
 
 
 def _run_on(compute_cap, power_draw, task: Task, start):
-    """(finish, energy, deadline met) of `task` started at `start` on a node;
-    `IncrementalSim.peek` keeps its arithmetic, by node, in per-app rows."""
+    """(finish, energy, deadline met) of `task` started at `start` on a node.
+
+    Elementwise: `IncrementalSim.peek` passes every node's capacity, power
+    and start time as arrays.
+    """
     duration = task.compute_req / compute_cap
     finish = start + duration
     in_time = task.deadline is None or finish <= task.deadline + _EPS
@@ -402,8 +405,6 @@ class IncrementalSim:
         self._nodes = np.arange(n)
         self._nodes.flags.writeable = False
         self._mem_cap = cluster._memory + _EPS
-        # per app id: (duration, energy) by task position x node, built on its first peek
-        self._cost_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for i, nd in enumerate(cluster.nodes):
             self._row[3 * i] = min(max(nd.compute_cap / self.norms.cap, 0.0), 1.0)
             self._row[3 * i + 1] = self._spare_mem(i)
@@ -430,19 +431,17 @@ class IncrementalSim:
         """What committing `task` would do on every node, as arrays by node.
 
         The array form of `_data_ready` over the cluster's link tables and
-        the app's index, then `_run_on` from the app's duration and energy
-        rows (built on its first peek) and the memory check. Each operation
-        keeps the scalar order, so entry j equals, bit for bit, what
-        `commit(app, task, j)` would return.
+        the app's index, then `_run_on` and the memory check elementwise.
+        Each operation keeps the scalar order, so entry j equals, bit for
+        bit, what `commit(app, task, j)` would return.
         """
         cl = self.cluster
         release = self.releases[app.id]
         preds, met = _dependencies_met(app, task, self.runs[app.id], release)
-        i = app._pos[task.id]
         if preds:
             src = [run.node for run in preds]
             fin = np.array([run.finish_s for run in preds])
-            size = app._out.take(app._pred_pos[i])
+            size = app._out.take(app._pred_pos[app._pos[task.id]])
             arrivals = fin[:, None] + (cl._latency.take(src, axis=0)
                                        + size[:, None] / cl._bandwidth.take(src, axis=0))
             ready = np.maximum(release, arrivals.max(axis=0))
@@ -450,18 +449,10 @@ class IncrementalSim:
             ready = release + (cl._latency[self.origin]
                                + task.input_size / cl._bandwidth[self.origin])
         start = np.maximum(np.array(self.node_free), ready)
-        rows = self._cost_rows.get(app.id)
-        if rows is None:
-            duration = app._compute[:, None] / cl._capacity  # `_run_on`'s arithmetic
-            rows = self._cost_rows[app.id] = duration, cl._power * duration
-            for table in rows:  # peek hands out views of them
-                table.flags.writeable = False
-        finish = start + rows[0][i]
+        finish, energy, in_time = _run_on(cl._capacity, cl._power, task, start)
         footprint = task.input_size + task.output_size
-        success = np.array(self.committed_mem) + footprint <= self._mem_cap
-        if task.deadline is not None:
-            success &= finish <= task.deadline + _EPS
-        return StepOutcome(self._nodes, start, finish, rows[1][i], finish - met, success)
+        fits = np.array(self.committed_mem) + footprint <= self._mem_cap
+        return StepOutcome(self._nodes, start, finish, energy, finish - met, fits & in_time)
 
     def commit(self, app: AppDag, task: Task, node: int,
                _sweep: StepOutcome | None = None) -> StepOutcome:
@@ -537,13 +528,11 @@ def check_schedule(cluster: ClusterSpec, dags: Sequence[AppDag],
                    configs: Sequence[ScheduleConfig],
                    origin: int = USER) -> None:
     """Causality and per-node no-overlap checks in one array pass over the
-    apps' indexes. ValueError names the first violation by app, then task,
-    or what is malformed: an app without a config or with two, uncovered
+    apps' indexes, with `_data_ready`'s IEEE operations: `np.maximum.at`
+    takes each edge's arrival into its task's release. ValueError names the
+    first violation by app, then task (an overlap by the lowest node id), or
+    what is malformed: an app without a config or with two, uncovered
     tasks, a node outside [0, n), a time that is not finite.
-
-    `np.maximum.at` takes each edge's arrival (predecessor finish plus
-    transfer) into its task's release, and a source's input leaves the
-    origin at the release: `_data_ready`'s IEEE operations, bit for bit.
     """
     n = cluster.n
     if origin != USER and not 0 <= origin < n:  # numpy would wrap -2 to a node's row
@@ -563,14 +552,13 @@ def check_schedule(cluster: ClusterSpec, dags: Sequence[AppDag],
     counts = np.array([len(dag.tasks) for dag in apps], dtype=np.intp)
     first = np.cumsum(counts) - counts  # each app's first task position
 
-    def name(k: int) -> str:
-        d = int(np.searchsorted(first, k, side="right")) - 1
-        return f"app {apps[d].id} task {apps[d].tasks[k - first[d]].id}"
+    def name(k: int) -> str:  # the k-th run's app and task, on an error path only
+        return "app {} task {}".format(*[(dag.id, t.id) for dag in apps for t in dag.tasks][k])
 
-    nodes = [run.node for run in runs]
-    node = np.array(nodes)
-    if node.dtype.kind not in "biu":  # a float or another object: no node id
-        node = np.array([v if isinstance(v, (int, np.integer)) else -1 for v in nodes])
+    node = np.array([run.node for run in runs])
+    if node.dtype.kind not in "biu":  # a float or another object is no node id
+        node = np.array([-1 if not isinstance(run.node, (int, np.integer)) else run.node
+                         for run in runs])
     start = np.array([run.start_s for run in runs], dtype=float)
     finish = np.array([run.finish_s for run in runs], dtype=float)
     release = np.repeat(np.array([by_id[dag.id].release_s for dag in apps], float), counts)
@@ -578,7 +566,7 @@ def check_schedule(cluster: ClusterSpec, dags: Sequence[AppDag],
                                         & np.isfinite(release))
     if bad.any():  # before any indexing by node: numpy wraps -1 to the last
         k = int(np.argmax(bad))
-        raise ValueError(f"{name(k)}: node {nodes[k]!r} must lie in [0, {n}), release "
+        raise ValueError(f"{name(k)}: node {runs[k].node!r} must lie in [0, {n}), release "
                          f"{release[k]}, start {runs[k].start_s} and finish "
                          f"{runs[k].finish_s} be finite")
     node = node.astype(np.intp)
@@ -605,11 +593,8 @@ def check_schedule(cluster: ClusterSpec, dags: Sequence[AppDag],
     order = np.lexsort((finish, start, node))
     on, s, f = node[order], start[order], finish[order]
     clash = np.flatnonzero((on[1:] == on[:-1]) & (s[1:] < f[:-1] - _EPS))
-    if clash.size:  # name the node whose first task comes first, as the dict loop did
-        seen = np.full(n, len(runs))
-        np.minimum.at(seen, node, np.arange(len(runs)))
-        k = clash[np.argmin(seen[on[clash]])]
-        a, b = runs[order[k]], runs[order[k + 1]]
+    if clash.size:
+        a, b = runs[order[clash[0]]], runs[order[clash[0] + 1]]
         raise ValueError(f"node {a.node} runs two tasks at once "
                          f"({a.start_s},{a.finish_s}) vs start {b.start_s}")
 
@@ -803,14 +788,9 @@ def generate_workload(num_apps: int, tasks_per_app: int,
     num_layers = max(1, min(num_layers, tasks_per_app))
 
     dags: list[AppDag] = []
+    # ids split into consecutive layers, the first tasks_per_app % num_layers one larger
+    layer_of = [part.tolist() for part in np.array_split(np.arange(tasks_per_app), num_layers)]
     for app_id in range(num_apps):
-        base, extra = divmod(tasks_per_app, num_layers)
-        layer_of: list[list[int]] = []
-        next_id = 0
-        for k in range(num_layers):
-            size = base + (1 if k < extra else 0)
-            layer_of.append(list(range(next_id, next_id + size)))
-            next_id += size
         tasks: list[Task] = []
         for k, members in enumerate(layer_of):
             for tid in members:
@@ -836,9 +816,5 @@ def poisson_releases(workload: Sequence[AppDag], rate: float,
     if rate <= 0:
         raise ValueError("arrival rate must be positive")
     gen = np.random.default_rng(rng)
-    t = 0.0
-    out: dict[int, float] = {}
-    for dag in workload:
-        t += float(gen.exponential(1.0 / rate))
-        out[dag.id] = t
-    return out
+    gaps = (float(gen.exponential(1.0 / rate)) for _ in workload)
+    return dict(zip((dag.id for dag in workload), itertools.accumulate(gaps)))

@@ -34,7 +34,8 @@ def _oracle_ready(cluster, app, task, node, runs, release, origin):
 
 
 def _oracle_check(cluster, dags, configs, origin=USER):
-    """`check_schedule` as one scalar pass per task and one interval loop per node."""
+    """`check_schedule` as one scalar pass per task and one interval loop per
+    node, the nodes visited in id order."""
     by_id = {cfg.app_id: cfg for cfg in configs}
     intervals: dict[int, list[tuple[float, float]]] = {}
     for dag in dags:
@@ -50,7 +51,7 @@ def _oracle_check(cluster, dags, configs, origin=USER):
                     f"app {dag.id} task {task.id} starts at {run.start_s} "
                     f"before its inputs arrive at {ready}")
             intervals.setdefault(run.node, []).append((run.start_s, run.finish_s))
-    for node, spans in intervals.items():
+    for node, spans in sorted(intervals.items()):
         spans.sort()
         for (s0, f0), (s1, _) in zip(spans, spans[1:]):
             if s1 < f0 - _EPS:

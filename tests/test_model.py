@@ -395,20 +395,18 @@ def test_app_dag_arrays_index_the_tasks_and_are_read_only():
              Task(0, 4.5, 8.0, 5.0),
              Task(1, 5.5, 0.0, 6.0, predecessors=(4, 0)),
              Task(2, 6.5, 0.0, 7.0, predecessors=(5,)))
-    for dag in (AppDag(7, tasks), pickle.loads(pickle.dumps(AppDag(7, tasks)))):
-        assert dag._pos == {t.id: i for i, t in enumerate(tasks)}
-        assert [p.tolist() for p in dag._pred_pos] == [
-            [dag._pos[p] for p in t.predecessors] for t in tasks]
-        assert list(zip(dag._edge_src.tolist(), dag._edge_dst.tolist())) == [
-            (dag._pos[p], i) for i, t in enumerate(tasks) for p in t.predecessors]
-        assert dag._out.tolist() == [t.output_size for t in tasks]
-        assert dag._in.tolist() == [t.input_size for t in tasks]
-        assert dag._compute.tolist() == [t.compute_req for t in tasks]
-        assert dag._is_source.tolist() == [not t.predecessors for t in tasks]
-        arrays = (*dag._pred_pos, dag._edge_src, dag._edge_dst, dag._out, dag._in,
-                  dag._compute, dag._is_source)
-        assert all(a.dtype == np.intp for a in (*dag._pred_pos, dag._edge_src, dag._edge_dst))
-        for a in arrays:
-            assert not a.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                a[...] = 0
+    dag = AppDag(7, tasks)
+    assert dag._pos == {t.id: i for i, t in enumerate(tasks)}
+    assert [p.tolist() for p in dag._pred_pos] == [
+        [dag._pos[p] for p in t.predecessors] for t in tasks]
+    assert list(zip(dag._edge_src.tolist(), dag._edge_dst.tolist())) == [
+        (dag._pos[p], i) for i, t in enumerate(tasks) for p in t.predecessors]
+    assert dag._out.tolist() == [t.output_size for t in tasks]
+    assert dag._in.tolist() == [t.input_size for t in tasks]
+    assert dag._is_source.tolist() == [not t.predecessors for t in tasks]
+    assert all(a.dtype == np.intp for a in (*dag._pred_pos, dag._edge_src, dag._edge_dst))
+    for a in (*dag._pred_pos, dag._edge_src, dag._edge_dst, dag._out, dag._in,
+              dag._is_source):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
