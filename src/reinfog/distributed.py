@@ -493,11 +493,9 @@ def worker_loop(endpoint: tuple[str, int] | None, worker_id: str,
     current_version = -1
     decision_log: list[int] = []
     pending: list[Transitions] = []
-    seq = 0
-    batches = experiences_sent = 0
-    rewards: list[float] = []
+    seq = experiences_sent = 0  # seq also counts the batches sent
+    rewards: list[float] = []  # one per episode run
     wcs: list[float] = []
-    episodes_run = 0
 
     def policy_step(state: np.ndarray) -> int:
         nonlocal current_version
@@ -509,11 +507,10 @@ def worker_loop(endpoint: tuple[str, int] | None, worker_id: str,
         return agent.act(state)
 
     def flush(everything: bool = False) -> None:
-        nonlocal seq, batches, experiences_sent
+        nonlocal seq, experiences_sent
         for batch in _take_batches(pending, sync.batch_flush, everything):
+            write_frame(sock, ExperienceBatch(worker_id, seq + 1, batch))
             seq += 1
-            write_frame(sock, ExperienceBatch(worker_id, seq, batch))
-            batches += 1
             experiences_sent += len(batch)
 
     try:
@@ -524,7 +521,6 @@ def worker_loop(endpoint: tuple[str, int] | None, worker_id: str,
                 break
             result = run_episode(cluster, workload, policy_step, spec,
                                  releases, origin)
-            episodes_run += 1
             rewards.append(fold_sum(result.rewards))
             wcs.append(result.total_wc)
             pending.append(result.steps)
@@ -544,9 +540,12 @@ def worker_loop(endpoint: tuple[str, int] | None, worker_id: str,
         if receiver.is_alive():
             receiver.join(timeout=1.0)
 
-    return WorkerReport(worker_id=worker_id, episodes_run=episodes_run, batches_sent=batches,
-                        experiences_sent=experiences_sent, episode_rewards=tuple(rewards),
-                        episode_wc=tuple(wcs), decision_log=tuple(decision_log),
+    return WorkerReport(worker_id=worker_id, episodes_run=len(rewards),
+                        batches_sent=seq,
+                        experiences_sent=experiences_sent,
+                        episode_rewards=tuple(rewards),
+                        episode_wc=tuple(wcs),
+                        decision_log=tuple(decision_log),
                         versions_seen=tuple(mailbox.versions_seen),
                         shutdown_reason=shutdown_reason[0])
 
@@ -590,11 +589,10 @@ def centralized_mode(cluster: ClusterSpec, workload, episodes: int,
     core = _TrainerCore(agent, rng)
     pending: list[Transitions] = []
     trace: list[EpisodeRow] = []
-    updates = 0
 
-    def drain(everything: bool = False) -> None:
-        nonlocal updates
-        updates += sum(map(core.ingest, _take_batches(pending, sync.batch_flush, everything)))
+    def drain(everything: bool = False) -> None:  # agent.updates counts the updates run
+        for batch in _take_batches(pending, sync.batch_flush, everything):
+            core.ingest(batch)
 
     for episode in range(episodes):
         result = run_episode(cluster, workload, agent.act, spec,
@@ -604,7 +602,7 @@ def centralized_mode(cluster: ClusterSpec, workload, episodes: int,
         trace.append(EpisodeRow(episode=episode, steps=len(result.steps),
                                 total_reward=fold_sum(result.rewards),
                                 total_wc=result.total_wc,
-                                epsilon=agent.epsilon, updates=updates))
+                                epsilon=agent.epsilon, updates=agent.updates))
     drain(everything=True)
     return CentralizedResult(policy=agent.online.copy(), trace=tuple(trace),
-                             updates=updates)
+                             updates=agent.updates)
