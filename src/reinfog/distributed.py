@@ -14,7 +14,10 @@ Topology and rules:
   the arrival sizes, not on timing or experience content.
 * Policy broadcasts go out every sync_interval updates with a strictly
   increasing policy_version, encoded once and sent as the same bytes to
-  every session; workers swap policies in between decisions.
+  every session; workers swap policies in between decisions. A new
+  session's bootstrap is the frame last published, from version 0 on.
+* The trainer ends at a None end marker in its queue, put there by stop()
+  or by the last of `expected_workers` sessions to end.
 * A session that ends other than by a clean close is kept in
   `dropped_sessions` with the worker id (or the peer address before the
   worker said hello) and the reason.
@@ -76,7 +79,10 @@ def parse_endpoint(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not host:
         raise ValueError(f"endpoint must look like host:port, got {text!r}")
-    return host, int(port)
+    number = int(port)
+    if not 0 <= number <= 65535:
+        raise ValueError(f"port {number} in {text!r} is not in [0, 65535]")
+    return host, number
 
 
 def endpoint_from_env() -> tuple[str, int]:
@@ -180,10 +186,10 @@ class _Session:
 class Learner:
     """Accepts worker sessions, trains on streamed experience, broadcasts policy.
 
-    Stops on its own once `max_updates` is reached, or once all
-    `expected_workers` sessions have connected and drained. stop() forces
-    teardown regardless. If the trainer thread fails, the learner stops
-    and join() re-raises the failure.
+    The trainer ends once `max_updates` is reached, or at the end marker
+    queued when all `expected_workers` sessions have come and gone. stop()
+    forces teardown and trains nothing still queued. If the trainer thread
+    fails, the learner stops and join() re-raises the failure.
     """
 
     def __init__(self, state_dim: int, n_actions: int,
@@ -202,8 +208,7 @@ class Learner:
         self._host, self._port = host, port
         self._max_updates = max_updates
         self._expected_workers = expected_workers
-        self.policy_version = 0
-        self.updates = 0
+        self._policy_frame = protocol.encode_frame(PolicySync(0, self.agent.online))
         self.received_experiences = 0
         self.arrival_log: list[tuple[str, int, Transitions]] = []
         self.dropped_sessions: list[tuple[str, str]] = []  # (worker or peer, reason)
@@ -212,7 +217,6 @@ class Learner:
         self._sessions_started = 0
         self._lock = threading.Lock()
         self._stop = threading.Event()
-        self._train_done = threading.Event()
         self._train_error: Exception | None = None
         self._listener: socket.socket | None = None
         self._threads: list[threading.Thread] = []
@@ -222,11 +226,20 @@ class Learner:
 
     def start(self) -> "Learner":
         self._listener = socket.create_server((self._host, self._port))
-        for target in (self._accept_loop, self._train_loop):
+        for target in (self._train_loop, self._accept_loop):
             t = threading.Thread(target=target, daemon=True)
             t.start()
             self._threads.append(t)
+        self._end_if_all_gone()
         return self
+
+    @property
+    def updates(self) -> int:
+        return self.agent.updates
+
+    @property
+    def policy_version(self) -> int:
+        return self.updates // self.sync.sync_interval
 
     @property
     def address(self) -> tuple[str, int]:
@@ -237,7 +250,7 @@ class Learner:
         if not self._stop.is_set():
             self._broadcast(Shutdown(reason))
             self._halt()
-            self._queue.put(None)  # wakes the trainer
+            self._queue.put(None)  # ends the trainer
         with self._lock:
             for session in self._sessions.values():
                 try:
@@ -262,20 +275,17 @@ class Learner:
         """
         deadline = None if timeout is None else time.monotonic() + timeout
 
-        def left() -> float | None:
-            return None if deadline is None else max(deadline - time.monotonic(), 0.0)
+        def ended(t: threading.Thread) -> bool:
+            t.join(None if deadline is None else max(deadline - time.monotonic(), 0.0))
+            return not t.is_alive()
 
-        if not self._train_done.wait(left()):
+        trainer, acceptor = self._threads
+        # the sessions are listed once the trainer has ended
+        if not (ended(trainer) and all(map(ended, list(self._session_threads)))):
             return False
-        for t in list(self._session_threads):
-            t.join(left())
-            if t.is_alive():
-                return False
         self._halt()
-        for t in self._threads:
-            t.join(left())
-            if t.is_alive():
-                return False
+        if not ended(acceptor):
+            return False
         self._listener.close()
         if self._train_error is not None:
             raise self._train_error
@@ -310,12 +320,12 @@ class Learner:
                         session = _Session(who, sock)
                         self._sessions[who] = session
                         self._sessions_started += 1
+                        bootstrap = self._policy_frame
                 reason = "duplicate worker id" if session is None else None
             if reason is not None:
                 write_frame(sock, Shutdown(reason))
                 return
-            # bootstrap the worker onto the current global policy
-            session.send(PolicySync(self.policy_version, self.agent.online))
+            session.send_frame(bootstrap)  # the last published policy
             reason = self._receive_batches(session)
             if reason is not None:
                 session.send(Shutdown(reason))
@@ -325,6 +335,7 @@ class Learner:
             if session is not None:
                 with self._lock:
                     self._sessions.pop(session.worker_id, None)
+                self._end_if_all_gone()
             sock.close()
             if reason is not None:
                 with self._lock:
@@ -352,31 +363,23 @@ class Learner:
             self._queue.put((msg.worker_id, msg.seq, msg.experiences))
         return None
 
-    def _drained(self) -> bool:
-        if self._expected_workers is None:
-            return False
+    def _end_if_all_gone(self) -> None:
+        """Queue the trainer's end marker once every expected worker has come
+        and gone: FIFO puts it behind the last batch of the session ending."""
         with self._lock:
-            all_seen = self._sessions_started >= self._expected_workers
-            none_live = not self._sessions
-        return all_seen and none_live and self._queue.empty()
+            if self._expected_workers is not None and not self._sessions \
+                    and self._sessions_started >= self._expected_workers:
+                self._queue.put(None)
 
     def _train_loop(self) -> None:
         try:
-            while not self._stop.is_set():
-                try:
-                    arrival = self._queue.get(timeout=0.05)
-                except queue.Empty:
-                    if self._drained():
-                        break
-                    continue
-                if arrival is None:  # stop() woke us
-                    continue
+            for arrival in iter(self._queue.get, None):
+                if self._stop.is_set():
+                    break
                 self.arrival_log.append(arrival)
                 if not self._core.ingest(arrival[2]):
                     continue
-                self.updates += 1
                 if self.updates % self.sync.sync_interval == 0:
-                    self.policy_version += 1
                     self._broadcast(PolicySync(self.policy_version, self.agent.online))
                 if self._max_updates is not None \
                         and self.updates >= self._max_updates:
@@ -385,17 +388,17 @@ class Learner:
         except Exception as exc:
             self._train_error = exc
             self.stop(f"trainer failed: {exc!r}")
-        finally:
-            self._train_done.set()
 
     def _broadcast(self, msg: WireMessage) -> None:
-        """Encode `msg` once and send the same bytes to every session."""
+        """Encode `msg` once and send the same bytes to every session; a
+        PolicySync frame is also kept to bootstrap later sessions."""
+        frame = protocol.encode_frame(msg)
         with self._lock:
+            if isinstance(msg, PolicySync):
+                self._policy_frame = frame
             sessions = list(self._sessions.values())
-        if sessions:
-            frame = protocol.encode_frame(msg)
-            for session in sessions:
-                session.send_frame(frame)
+        for session in sessions:
+            session.send_frame(frame)
 
 
 def _connect_with_retry(endpoint: tuple[str, int]) -> socket.socket:

@@ -107,7 +107,6 @@ class Population:
     assign: np.ndarray
     position: np.ndarray
     velocity: np.ndarray
-    pbest_assign: np.ndarray
     pbest_position: np.ndarray
     pbest_fitness: np.ndarray
 
@@ -198,8 +197,7 @@ def generate_population(inst: PlacementInstance, params: PlacementParams,
     velocity = rng.uniform(-1.0, 1.0, size=(p, m))
     tables = _CostTables(inst) if tables is None else tables
     pbest_fitness = tables.fitness_many(assign, params.penalty_lambda)
-    return Population(assign, position, velocity, assign.copy(), position.copy(),
-                      pbest_fitness)
+    return Population(assign, position, velocity, position.copy(), pbest_fitness)
 
 
 def firefly_movement(pop: Population, inst: PlacementInstance, alpha: float,
@@ -404,7 +402,6 @@ def _run_engine(inst: PlacementInstance, params: PlacementParams,
             # bests are keyed to individuals, so each fresh one is its own
             # best and starts at rest. Keeping the dead slots' bests instead
             # anchors the swarm to long-gone genomes and stalls the search.
-            pop.pbest_assign = pop.assign.copy()
             pop.pbest_position = pop.position.copy()
             pop.pbest_fitness = tables.fitness_many(pop.assign, lam)
             pop.velocity = np.zeros_like(pop.position)
@@ -416,7 +413,6 @@ def _run_engine(inst: PlacementInstance, params: PlacementParams,
             improved = fit > pop.pbest_fitness
             np.copyto(pop.pbest_fitness, fit, where=improved)
             improved = improved[:, None]
-            np.copyto(pop.pbest_assign, pop.assign, where=improved)
             np.copyto(pop.pbest_position, pop.position, where=improved)
         best_idx = int(np.argmax(fit))
         if fit[best_idx] > gbest_fitness:  # ties keep the earlier incumbent

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
@@ -202,11 +201,6 @@ def cluster_from_json(doc: dict) -> ClusterSpec:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed cluster document: {exc}") from exc
     return ClusterSpec(nodes, links)
-
-
-def load_cluster(path: str) -> ClusterSpec:
-    with open(path, encoding="utf-8") as fh:
-        return cluster_from_json(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -458,6 +452,8 @@ class IncrementalSim:
                _sweep: StepOutcome | None = None) -> StepOutcome:
         """Schedule `task` on `node`. Greedy passes `peek`'s sweep of this
         task, whose entry for `node` equals the scalar outcome bit for bit."""
+        if isinstance(node, bool) or not isinstance(node, (int, np.integer)):
+            raise ValueError(f"app {app.id} task {task.id}: node {node!r} is not an integer")
         if not 0 <= node < len(self.node_free):
             raise ValueError(f"app {app.id} task {task.id}: node {node} is not "
                              f"in [0, {len(self.node_free)})")

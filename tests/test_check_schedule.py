@@ -1,6 +1,7 @@
 """`check_schedule` against the scalar rule it replaced, kept here as the oracle."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -244,12 +245,16 @@ def test_shuffled_task_lists_and_node_origin_match_the_oracle():
                 == _verdict(_oracle_check, cluster, workload, tampered, 2))
 
 
-@pytest.mark.parametrize("node", [-1, 3, 5])
+@pytest.mark.parametrize("node", [-1, 3, 5, 1.5, True, np.float64(1.0)])
 def test_commit_rejects_a_node_outside_the_cluster(node):
     cluster = uniform_cluster(3)
     dag = generate_workload(1, 3, rng=0)[0]
     sim = IncrementalSim(cluster, [dag])
-    with pytest.raises(ValueError, match=rf"app 0 task 0: node {node} is not in \[0, 3\)"):
+    why = rf"node {node} is not in \[0, 3\)" if type(node) is int \
+        else f"node {re.escape(repr(node))} is not an integer"
+    with pytest.raises(ValueError, match=f"app 0 task 0: {why}"):
         sim.commit(dag, dag.tasks[0], node)
     assert sim.runs[0] == {} and sim.node_free == [0.0] * 3
     assert sim.committed_mem == [0.0] * 3
+    sim.commit(dag, dag.tasks[0], np.int64(1))  # a numpy integer is a node id
+    assert sim.runs[0][dag.tasks[0].id].node == 1

@@ -154,6 +154,13 @@ def test_worker_count_range_enforced(tmp_path):
     assert run_cli(["train-dist", "--workers", "0", "--out", str(tmp_path)]) == 1
 
 
+def test_listen_port_out_of_range_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", FAST_TRAIN)
+    assert run_cli(["train-dist", "--config", cfg, "--listen", "127.0.0.1:99999",
+                    "--out", str(tmp_path)]) == 1
+    assert "port 99999" in capsys.readouterr().err
+
+
 def test_seed_must_be_u64(tmp_path):
     assert run_cli(["place", "--seed", "-1", "--out", str(tmp_path)]) == 1
     assert run_cli(["place", "--seed", str(2 ** 64), "--out", str(tmp_path)]) == 1

@@ -79,6 +79,10 @@ def test_parse_endpoint(monkeypatch):
     assert parse_endpoint("127.0.0.1:9000") == ("127.0.0.1", 9000)
     with pytest.raises(ValueError):
         parse_endpoint("9000")
+    assert parse_endpoint("localhost:65535") == ("localhost", 65535)
+    for port in ("65536", "99999", "-1"):
+        with pytest.raises(ValueError, match=f"port {port} in '127.0.0.1:{port}'"):
+            parse_endpoint(f"127.0.0.1:{port}")
     monkeypatch.setenv("REINFOG_LEARNER_ADDR", "10.0.0.1:4242")
     assert endpoint_from_env() == ("10.0.0.1", 4242)
     monkeypatch.delenv("REINFOG_LEARNER_ADDR")
@@ -145,8 +149,9 @@ def test_three_workers_no_loss_no_duplication():
 
 
 def test_policy_broadcast_is_encoded_once(monkeypatch):
-    # three sessions, two broadcasts: one encode per session's bootstrap and
-    # one per broadcast, and every session receives the same policies
+    # three sessions, two broadcasts: version 0 is encoded once, when the
+    # learner is made, and every later version once, when it is broadcast;
+    # every session receives the same policies
     encoded: list[int] = []
     real = protocol.encode_frame
 
@@ -174,7 +179,47 @@ def test_policy_broadcast_is_encoded_once(monkeypatch):
         assert learner.join(timeout=10.0)
     assert [m.policy_version for m in got[0]] == [1, 2]
     assert got[0] == got[1] == got[2]
-    assert encoded == [0, 0, 0, 1, 2]
+    assert encoded == [0, 1, 2]
+
+
+def test_a_late_session_is_bootstrapped_on_the_last_published_policy():
+    # a sync every 10 updates, all driven by w0: w1 joins after 5 updates, on
+    # version 0's weights, not on those the trainer has moved since; w2 joins
+    # after 15, on version 1's frame as it was broadcast
+    learner = small_learner(sync=SyncConfig(sync_interval=10, batch_flush=2),
+                            cfg=DqnConfig(hidden_sizes=(8,), batch_size=2,
+                                          buffer_capacity=64))
+    socks = [socket.create_connection(learner.address, timeout=10.0) for _ in range(3)]
+
+    def hello(i: int) -> PolicySync:
+        write_frame(socks[i], WorkerHello(f"w{i}"))
+        return read_frame(socks[i])
+
+    def drive_to(updates: int, seqs: range) -> None:
+        for seq in seqs:  # batches of 2 at batch size 2: one update each
+            write_frame(socks[0], exp_batch("w0", seq))
+        deadline = time.monotonic() + 10.0
+        while learner.updates < updates and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert learner.updates == updates
+
+    try:
+        first = hello(0)
+        drive_to(5, range(1, 6))
+        second = hello(1)
+        drive_to(15, range(6, 16))
+        third = hello(2)
+        broadcast = read_frame(socks[0])
+    finally:
+        for sock in socks:
+            sock.close()
+        learner.stop()
+        assert learner.join(timeout=10.0)
+    assert first.policy_version == second.policy_version == 0
+    assert policy_to_doc(second.policy) == policy_to_doc(first.policy)
+    assert broadcast.policy_version == third.policy_version == 1
+    assert policy_to_doc(third.policy) == policy_to_doc(broadcast.policy)
+    assert policy_to_doc(third.policy) != policy_to_doc(learner.agent.online)
 
 
 def test_policy_versions_monotone_and_sync_interval_one():
@@ -257,6 +302,50 @@ def test_out_of_order_seq_terminates_session():
         sock.close()
         learner.stop()
         learner.join(timeout=10.0)
+
+
+def test_learner_ends_once_its_expected_workers_have_returned():
+    # one of two workers returning is not the end; the second one is, with
+    # no stop(), and the counters are the agent's
+    learner = small_learner(expected_workers=2)
+    run_worker(learner.address, "w0", episodes=2)
+    assert not learner.join(timeout=0.2)
+    run_worker(learner.address, "w1", episodes=2)
+    assert learner.join(timeout=10.0)
+    assert len(learner.arrival_log) == 4  # 2 workers x 8 experiences / 4 a batch
+    assert learner.updates == learner.agent.updates == 3
+    assert learner.policy_version == learner.updates // 2
+
+
+def test_stop_trains_nothing_still_queued():
+    cfg = DqnConfig(hidden_sizes=(8,), batch_size=2, buffer_capacity=64)
+    learner = small_learner(cfg=cfg, expected_workers=1)
+    real = learner.agent.train_step
+
+    def slow(batch):
+        time.sleep(0.1)
+        return real(batch)
+
+    learner.agent.train_step = slow
+    sock = socket.create_connection(learner.address, timeout=10.0)
+    try:
+        write_frame(sock, WorkerHello("w0"))
+        assert isinstance(read_frame(sock), PolicySync)
+        for seq in range(1, 21):
+            write_frame(sock, exp_batch("w0", seq))
+        deadline = time.monotonic() + 10.0
+        while learner.received_experiences < 40 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        learner.stop()
+        assert learner.join(timeout=10.0)
+    finally:
+        sock.close()
+    assert learner.received_experiences == 40
+    taken = len(learner.arrival_log)
+    assert taken < 20
+    assert learner.updates == taken  # each batch taken in was trained on, no other
+    time.sleep(0.1)
+    assert learner.updates == taken and len(learner.arrival_log) == taken
 
 
 def test_idle_learner_stops_promptly():

@@ -74,8 +74,8 @@ def test_generate_population_bounds():
     assert pop.assign.min() >= 0 and pop.assign.max() < 2
     assert np.all((pop.velocity >= -1.0) & (pop.velocity <= 1.0))
     assert np.array_equal(pop.position, pop.assign.astype(float))
-    assert np.array_equal(pop.pbest_assign, pop.assign)
-    assert np.array_equal(pop.pbest_assign[3], pop.assign[3])
+    assert np.array_equal(pop.pbest_position, pop.position)
+    assert pop.pbest_position is not pop.position
 
 
 def test_roulette_analytic_probability():
@@ -161,8 +161,8 @@ def brighter_instance() -> PlacementInstance:
 def hand_population(rows: list[list[int]]) -> Population:
     assign = np.array(rows, dtype=np.int64)
     pos = assign.astype(float)
-    return Population(assign, pos.copy(), np.zeros_like(pos), assign.copy(),
-                      pos.copy(), np.zeros(len(rows)))
+    return Population(assign, pos.copy(), np.zeros_like(pos), pos.copy(),
+                      np.zeros(len(rows)))
 
 
 def test_firefly_identical_population_unchanged():

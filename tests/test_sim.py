@@ -40,7 +40,6 @@ from reinfog.sim import (
     decode_action,
     encode_state,
     generate_workload,
-    load_cluster,
     make_reward_spec,
     poisson_releases,
     run_episode,
@@ -100,14 +99,11 @@ def test_transfer_time():
     assert cluster.transfer_time(USER, 1, 5.0) == pytest.approx(0.6)
 
 
-def test_cluster_json_round_trip(tmp_path):
+def test_cluster_json_round_trip():
     cluster = uniform_cluster(3, compute_cap=800.0, latency_s=0.02)
     doc = cluster_to_json(cluster)
     again = cluster_from_json(json.loads(json.dumps(doc)))
     assert again == cluster
-    path = tmp_path / "cluster.json"
-    path.write_text(json.dumps(doc))
-    assert load_cluster(str(path)) == cluster
     with pytest.raises(ValueError, match="malformed"):
         cluster_from_json({"nodes": [{"id": 0}]})
     doc["links"][0]["src"] = 0.7  # int() would truncate it to node 0
@@ -239,13 +235,27 @@ def test_memory_overflow_fails_but_still_runs():
     assert cfg.entries[1].finish_s > cfg.entries[1].start_s
 
 
-def test_check_schedule_rejects_violations():
+def test_check_schedule_rejects_a_start_before_the_inputs_arrive():
+    # task 1 alone on node 1, its input from node 0 due at 1.2: no overlap
+    cluster = two_node_cluster(lat=0.1, bw=10.0)
+    dag = chain_dag([1000.0, 2000.0], out=1.0)
+    cfg = simulate_schedule(cluster, dag, {0: 0, 1: 1}, origin=0)
+    bad = cfg.entries[1]
+    cfg.entries[1] = type(bad)(bad.node, 1.1, 3.1, bad.energy_j, True)
+    with pytest.raises(ValueError, match=r"app 0 task 1 starts at 1\.1 before its inputs "
+                                         r"arrive at 1\.2"):
+        check_schedule(cluster, [dag], [cfg], origin=0)
+
+
+def test_check_schedule_rejects_two_tasks_at_once_on_a_node():
+    # two independent tasks whose inputs are ready at 0: only the overlap is wrong
     cluster = uniform_cluster(1, latency_s=0.0)
-    dag = chain_dag([1000.0, 1000.0])
-    cfg = simulate_schedule(cluster, dag, {0: 0, 1: 0}, origin=0)
+    dag = AppDag(0, (Task(0, 1000.0, 0.0, 1.0), Task(1, 1000.0, 0.0, 1.0)))
+    cfg = simulate_schedule(cluster, dag, {0: 0, 1: 0})
     bad = cfg.entries[1]
     cfg.entries[1] = type(bad)(bad.node, 0.5, 1.5, bad.energy_j, True)
-    with pytest.raises(ValueError, match="before its inputs|at once"):
+    with pytest.raises(ValueError, match=r"node 0 runs two tasks at once \(0\.0,1\.0\) "
+                                         r"vs start 0\.5"):
         check_schedule(cluster, [dag], [cfg])
 
 
