@@ -266,10 +266,18 @@ def _resolve_cluster(cfg: Config) -> ClusterSpec:
 
 def _workload_from_json(doc) -> tuple[list[AppDag], dict[int, float] | None]:
     apps = [dag_from_json(d) for d in doc["apps"]]
+    ids: set[int] = set()
+    for dag in apps:
+        if dag.id in ids:
+            raise ValueError(f"app id {dag.id} appears twice")
+        ids.add(dag.id)
     releases = doc.get("releases")
     if releases is not None:
         releases = {int(k): float(v) for k, v in releases.items()}
         require_finite("releases", **{str(k): v for k, v in releases.items()})
+        unknown = sorted(releases.keys() - ids)
+        if unknown:
+            raise ValueError(f"release for app {unknown[0]}, which the workload does not have")
     return apps, releases
 
 
@@ -420,12 +428,17 @@ def cmd_train_dist(args: argparse.Namespace, cfg: Config) -> int:
                       max_updates=cfg.get("dist.max_updates"),
                       expected_workers=args.workers).start()
     reports: dict[str, WorkerReport] = {}
+    failures: list[tuple[str, Exception]] = []
 
     def run(worker_id: str, index: int) -> None:
-        reports[worker_id] = worker_loop(
-            learner.address, worker_id, cluster, workload, episodes,
-            sync=sync, dqn_cfg=dqn_cfg, reward_spec=spec, releases=releases,
-            rng=np.random.default_rng([args.seed, 7, index]))
+        try:
+            reports[worker_id] = worker_loop(
+                learner.address, worker_id, cluster, workload, episodes,
+                sync=sync, dqn_cfg=dqn_cfg, reward_spec=spec, releases=releases,
+                rng=np.random.default_rng([args.seed, 7, index]))
+        except Exception as exc:  # the learner would wait for this worker forever
+            failures.append((worker_id, exc))
+            learner.stop(f"worker {worker_id} failed")
 
     threads = [threading.Thread(target=run, args=(f"w{i:02d}", i))
                for i in range(args.workers)]
@@ -433,6 +446,10 @@ def cmd_train_dist(args: argparse.Namespace, cfg: Config) -> int:
         t.start()
     for t in threads:
         t.join()
+    if failures:
+        learner.join(timeout=10.0)
+        worker_id, exc = failures[0]
+        raise RuntimeError(f"worker {worker_id} failed: {type(exc).__name__}: {exc}") from exc
     if not learner.join(timeout=60.0):
         learner.stop()
         learner.join(timeout=10.0)

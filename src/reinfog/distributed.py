@@ -51,7 +51,6 @@ from .protocol import (
 )
 from .replay import RandomReplayBuffer, Transitions
 from .sim import (
-    USER,
     ClusterSpec,
     RewardSpec,
     make_reward_spec,
@@ -151,15 +150,14 @@ class _TrainerCore:
 def replay_arrivals(arrivals: list[tuple[str, int, Transitions]],
                     state_dim: int, n_actions: int,
                     cfg: DqnConfig | None = None,
-                    initial: NetworkParams | None = None,
                     seed: int | None = 0) -> tuple[int, NetworkParams]:
     """Re-run a recorded arrival log through a fresh trainer core.
 
-    With the same initial parameters and seed as the live learner this
-    reproduces its update count and final weights exactly.
+    With the same seed as the live learner this reproduces its update count
+    and final weights exactly.
     """
     rng = np.random.default_rng(seed)
-    agent = DqnAgent(state_dim, n_actions, cfg, rng=rng, initial=initial)
+    agent = DqnAgent(state_dim, n_actions, cfg, rng=rng)
     core = _TrainerCore(agent, rng)
     return sum(core.ingest(batch) for _, _, batch in arrivals), agent.online
 
@@ -194,15 +192,13 @@ class Learner:
 
     def __init__(self, state_dim: int, n_actions: int,
                  cfg: DqnConfig | None = None, sync: SyncConfig | None = None,
-                 initial: NetworkParams | None = None, seed: int | None = 0,
-                 host: str = "127.0.0.1", port: int = 0,
+                 seed: int | None = 0, host: str = "127.0.0.1", port: int = 0,
                  max_updates: int | None = None,
                  expected_workers: int | None = None) -> None:
         self.cfg = cfg or DqnConfig()
         self.sync = sync or SyncConfig()
         rng = np.random.default_rng(seed)
-        self.agent = DqnAgent(state_dim, n_actions, self.cfg, rng=rng,
-                              initial=initial)
+        self.agent = DqnAgent(state_dim, n_actions, self.cfg, rng=rng)
         self._dims = (state_dim, n_actions)
         self._core = _TrainerCore(self.agent, rng)
         self._host, self._port = host, port
@@ -455,9 +451,7 @@ def worker_loop(endpoint: tuple[str, int] | None, worker_id: str,
                 sync: SyncConfig | None = None,
                 dqn_cfg: DqnConfig | None = None,
                 reward_spec: RewardSpec | None = None,
-                releases=None, origin: int = USER,
-                rng: np.random.Generator | int | None = None,
-                initial: NetworkParams | None = None) -> WorkerReport:
+                releases=None, rng: np.random.Generator | int | None = None) -> WorkerReport:
     """Collect episodes and stream them to the learner until done or told to stop.
 
     The endpoint falls back to the REINFOG_LEARNER_ADDR environment
@@ -467,10 +461,8 @@ def worker_loop(endpoint: tuple[str, int] | None, worker_id: str,
     if endpoint is None:
         endpoint = endpoint_from_env()
     sync = sync or SyncConfig()
-    spec = reward_spec or make_reward_spec(cluster, workload,
-                                           releases=releases, origin=origin)
-    agent = DqnAgent(sim.state_dim(cluster.n), cluster.n, dqn_cfg, rng=rng,
-                     initial=initial)
+    spec = reward_spec or make_reward_spec(cluster, workload, releases=releases)
+    agent = DqnAgent(sim.state_dim(cluster.n), cluster.n, dqn_cfg, rng=rng)
     mailbox = _PolicyMailbox()
     stop = threading.Event()
     shutdown_reason: list[str | None] = [None]
@@ -522,8 +514,7 @@ def worker_loop(endpoint: tuple[str, int] | None, worker_id: str,
         for _ in range(episodes):
             if stop.is_set():
                 break
-            result = run_episode(cluster, workload, policy_step, spec,
-                                 releases, origin)
+            result = run_episode(cluster, workload, policy_step, spec, releases)
             rewards.append(fold_sum(result.rewards))
             wcs.append(result.total_wc)
             pending.append(result.steps)
@@ -574,9 +565,7 @@ def centralized_mode(cluster: ClusterSpec, workload, episodes: int,
                      dqn_cfg: DqnConfig | None = None,
                      sync: SyncConfig | None = None,
                      reward_spec: RewardSpec | None = None,
-                     releases=None, origin: int = USER,
-                     seed: int | None = 0,
-                     initial: NetworkParams | None = None) -> CentralizedResult:
+                     releases=None, seed: int | None = 0) -> CentralizedResult:
     """Single-process act/store/update loop; no sockets involved.
 
     Experiences enter the buffer in groups of batch_flush (the remainder
@@ -584,11 +573,9 @@ def centralized_mode(cluster: ClusterSpec, workload, episodes: int,
     feeding a learner, so update counts match that setup exactly.
     """
     sync = sync or SyncConfig()
-    spec = reward_spec or make_reward_spec(cluster, workload,
-                                           releases=releases, origin=origin)
+    spec = reward_spec or make_reward_spec(cluster, workload, releases=releases)
     rng = np.random.default_rng(seed)
-    agent = DqnAgent(sim.state_dim(cluster.n), cluster.n, dqn_cfg, rng=rng,
-                     initial=initial)
+    agent = DqnAgent(sim.state_dim(cluster.n), cluster.n, dqn_cfg, rng=rng)
     core = _TrainerCore(agent, rng)
     pending: list[Transitions] = []
     trace: list[EpisodeRow] = []
@@ -598,8 +585,7 @@ def centralized_mode(cluster: ClusterSpec, workload, episodes: int,
             core.ingest(batch)
 
     for episode in range(episodes):
-        result = run_episode(cluster, workload, agent.act, spec,
-                             releases, origin)
+        result = run_episode(cluster, workload, agent.act, spec, releases)
         pending.append(result.steps)
         drain()
         trace.append(EpisodeRow(episode=episode, steps=len(result.steps),

@@ -59,13 +59,11 @@ class DqnAgent:
     """Online/target network pair with epsilon-greedy acting and MSE updates."""
 
     def __init__(self, state_dim: int, n_actions: int, cfg: DqnConfig | None = None,
-                 rng: np.random.Generator | int | None = None,
-                 initial: NetworkParams | None = None) -> None:
+                 rng: np.random.Generator | int | None = None) -> None:
         self.cfg = cfg or DqnConfig()
         self.rng = np.random.default_rng(rng)
         sizes = (state_dim, *self.cfg.hidden_sizes, n_actions)
-        self.online = initial.copy() if initial is not None else \
-            NetworkParams.glorot(sizes, self.cfg.activation, self.rng)
+        self.online = NetworkParams.glorot(sizes, self.cfg.activation, self.rng)
         self.target = sync_target(self.online)
         self.optimizer = make_optimizer(self.cfg.optimizer, self.cfg.learning_rate)
         self.n_actions = n_actions

@@ -171,7 +171,7 @@ def check_constraints(assignment: Assignment, inst: PlacementInstance) -> Constr
 class Task:
     id: int
     compute_req: float              # mega-cycles
-    input_size: float               # MB pulled from the origin (source tasks)
+    input_size: float               # MB pulled from the user (source tasks)
     output_size: float              # MB shipped to each successor
     predecessors: tuple[int, ...] = ()
     deadline: float | None = None   # optional absolute finish deadline, seconds
@@ -336,16 +336,17 @@ def critical_path(dag: AppDag, sched: ScheduleConfig) -> list[int]:
 def response_time(dags: Sequence[AppDag], scheds: Sequence[ScheduleConfig]) -> float:
     """Sum over applications of the critical-path duration.
 
-    Each application contributes the finish time of its critical path's last
-    task minus the application release time, which equals the sum of per-task
-    duration contributions along that path.
+    Each application contributes its makespan, the finish of its critical
+    path's last task, minus its release time: the sum of per-task duration
+    contributions along that path.
     """
     if len(dags) != len(scheds):
         raise ValueError("one schedule per application required")
     total = 0.0
     for dag, sched in zip(dags, scheds):
-        path = critical_path(dag, sched)
-        total += sched.entries[path[-1]].finish_s - sched.release_s
+        if set(sched.entries) != {t.id for t in dag.tasks}:
+            raise ValueError("schedule does not cover the DAG task set")
+        total += sched.makespan - sched.release_s
     return total
 
 

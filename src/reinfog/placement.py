@@ -26,10 +26,11 @@ from .model import (
 
 ROULETTE_EPS = 1e-6
 DEFAULT_PENALTY = 1e3
+ENUMERATION_LIMIT = 10_000_000  # most assignments brute_force_optimal enumerates
 
 
 class InstanceTooLarge(ValueError):
-    """Exhaustive enumeration would exceed the configured budget."""
+    """Exhaustive enumeration would exceed ENUMERATION_LIMIT."""
 
 
 class InfeasibleInstance(ValueError):
@@ -402,14 +403,14 @@ def _run_engine(inst: PlacementInstance, params: PlacementParams,
             # bests are keyed to individuals, so each fresh one is its own
             # best and starts at rest. Keeping the dead slots' bests instead
             # anchors the swarm to long-gone genomes and stalls the search.
+            # pso_update reads only pbest_position, so no fitness is taken.
             pop.pbest_position = pop.position.copy()
-            pop.pbest_fitness = tables.fitness_many(pop.assign, lam)
             pop.velocity = np.zeros_like(pop.position)
         if pso_phase:
             pso_update(pop, inst, gbest_position, params.pso_w,
                        params.pso_c1, params.pso_c2, rng)
         fit = tables.fitness_many(pop.assign, lam)
-        if pso_phase:
+        if pso_phase and not ga_phase:  # a GA phase resets the bests next generation
             improved = fit > pop.pbest_fitness
             np.copyto(pop.pbest_fitness, fit, where=improved)
             improved = improved[:, None]
@@ -464,19 +465,18 @@ def random_placement(inst: PlacementInstance,
     return PlacementResult("random", a, fit, F, feasible, trace)
 
 
-def brute_force_optimal(inst: PlacementInstance,
-                        limit: int = 10_000_000) -> tuple[Assignment, float]:
+def brute_force_optimal(inst: PlacementInstance) -> tuple[Assignment, float]:
     """Exhaustive search over all n^m assignments; feasible minimum objective.
 
     Enumerates in lexicographic order so ties resolve to the first-encountered
-    assignment. Raises InstanceTooLarge when n^m exceeds `limit` and
+    assignment. Raises InstanceTooLarge when n^m exceeds ENUMERATION_LIMIT and
     InfeasibleInstance when no assignment satisfies the constraints.
     """
     m, n = inst.num_components, inst.num_nodes
     space = n ** m
-    if space > limit:
-        raise InstanceTooLarge(
-            f"{n}^{m} = {space} assignments exceed the enumeration budget of {limit}")
+    if space > ENUMERATION_LIMIT:
+        raise InstanceTooLarge(f"{n}^{m} = {space} assignments exceed the "
+                               f"enumeration budget of {ENUMERATION_LIMIT}")
     tables = _CostTables(inst)
     best_assign: tuple[int, ...] | None = None
     best_f = np.inf
@@ -503,8 +503,7 @@ def brute_force_optimal(inst: PlacementInstance,
 
 
 def random_instance(m: int, n: int, rng: np.random.Generator | int | None = None,
-                    slack: float = 2.0, omega1: float = 0.5,
-                    omega2: float = 0.5) -> PlacementInstance:
+                    slack: float = 2.0) -> PlacementInstance:
     """Seeded synthetic instance; `slack` scales node capacity over total demand."""
     rng = np.random.default_rng(rng)
     compute = rng.uniform(50.0, 400.0, m)
@@ -518,4 +517,4 @@ def random_instance(m: int, n: int, rng: np.random.Generator | int | None = None
                   for i in range(m))
     nodes = tuple(Node(j, float(cap[j]), float(mem_avail[j]), float(power[j]))
                   for j in range(n))
-    return PlacementInstance(comps, nodes, omega1=omega1, omega2=omega2)
+    return PlacementInstance(comps, nodes)

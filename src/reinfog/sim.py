@@ -4,7 +4,7 @@ discrete-event simulator for DAG workloads on heterogeneous nodes.
 One engine, `IncrementalSim`, computes every schedule. A node runs its
 tasks one at a time in commit order, each once the node is free and the
 task's inputs are there. The timing rule is `_data_ready`: a source's
-input leaves the origin at its app's release, and any other task's inputs
+input leaves the user at its app's release, and any other task's inputs
 are on a node once every predecessor has finished and its output has
 crossed the link. `_run_on` runs a task: duration, energy and the deadline
 check.
@@ -65,7 +65,7 @@ from .model import (
 )
 from .replay import Transitions
 
-# pseudo node id for the data origin (user / gateway side)
+# pseudo node id of the user (gateway) side: every source task's input comes from it
 USER = -1
 
 DEFAULT_FAILURE_PENALTY = -2.0
@@ -324,17 +324,16 @@ def _dependencies_met(app: AppDag, task: Task, runs: Mapping[int, TaskRun],
 
 
 def _data_ready(cluster: ClusterSpec, app: AppDag, task: Task, node: int,
-                runs: Mapping[int, TaskRun], release: float,
-                origin: int) -> tuple[float, float]:
+                runs: Mapping[int, TaskRun], release: float) -> tuple[float, float]:
     """(time the task's inputs are on `node`, time its dependencies were met).
 
-    Sources: the release plus the transfer from `origin`. Other tasks: the
+    Sources: the release plus the transfer from the user. Other tasks: the
     latest predecessor finish plus the transfer of its output to `node`,
     never earlier than the release.
     """
     preds, met = _dependencies_met(app, task, runs, release)
     if not preds:
-        return release + cluster.transfer_time(origin, node, task.input_size), met
+        return release + cluster.transfer_time(USER, node, task.input_size), met
     arrivals = [run.finish_s + cluster.transfer_time(run.node, node,
                                                      app.task(p).output_size)
                 for p, run in zip(task.predecessors, preds)]
@@ -377,14 +376,9 @@ class IncrementalSim:
     """
 
     def __init__(self, cluster: ClusterSpec, workload: Sequence[AppDag],
-                 releases: Mapping[int, float] | None = None,
-                 origin: int = USER) -> None:
-        if origin != USER and not 0 <= origin < cluster.n:
-            # peek indexes the link tables by origin, where -2 would be a node's row
-            raise ValueError(f"origin {origin} is neither a node nor the user {USER}")
+                 releases: Mapping[int, float] | None = None) -> None:
         self.cluster = cluster
         self.workload = tuple(workload)
-        self.origin = origin
         self.releases = _release_times(workload, releases)
         self.norms = NormConstants.from_workload(cluster, workload)
         n = cluster.n
@@ -414,7 +408,7 @@ class IncrementalSim:
     def _outcome(self, app: AppDag, task: Task, node: int) -> StepOutcome:
         nd = self.cluster.nodes[node]
         ready, met = _data_ready(self.cluster, app, task, node, self.runs[app.id],
-                                 self.releases[app.id], self.origin)
+                                 self.releases[app.id])
         start = max(self.node_free[node], ready)
         finish, energy, in_time = _run_on(nd.compute_cap, nd.power_draw, task, start)
         footprint = task.input_size + task.output_size
@@ -440,8 +434,8 @@ class IncrementalSim:
                                        + size[:, None] / cl._bandwidth.take(src, axis=0))
             ready = np.maximum(release, arrivals.max(axis=0))
         else:
-            ready = release + (cl._latency[self.origin]
-                               + task.input_size / cl._bandwidth[self.origin])
+            ready = release + (cl._latency[USER]
+                               + task.input_size / cl._bandwidth[USER])
         start = np.maximum(np.array(self.node_free), ready)
         finish, energy, in_time = _run_on(cl._capacity, cl._power, task, start)
         footprint = task.input_size + task.output_size
@@ -521,8 +515,7 @@ def encode_state(cluster: ClusterSpec, sim: IncrementalSim, app: AppDag,
 
 
 def check_schedule(cluster: ClusterSpec, dags: Sequence[AppDag],
-                   configs: Sequence[ScheduleConfig],
-                   origin: int = USER) -> None:
+                   configs: Sequence[ScheduleConfig]) -> None:
     """Causality and per-node no-overlap checks in one array pass over the
     apps' indexes, with `_data_ready`'s IEEE operations: `np.maximum.at`
     takes each edge's arrival into its task's release. ValueError names the
@@ -531,8 +524,6 @@ def check_schedule(cluster: ClusterSpec, dags: Sequence[AppDag],
     tasks, a node outside [0, n), a time that is not finite.
     """
     n = cluster.n
-    if origin != USER and not 0 <= origin < n:  # numpy would wrap -2 to a node's row
-        raise ValueError(f"origin {origin} is neither a node nor the user {USER}")
     by_id = {cfg.app_id: cfg for cfg in configs}
     if len(by_id) != len(configs):
         twice = next(a for a in by_id if sum(cfg.app_id == a for cfg in configs) > 1)
@@ -577,8 +568,8 @@ def check_schedule(cluster: ClusterSpec, dags: Sequence[AppDag],
         np.maximum.at(ready, dst, finish[src] + (lat[sn, dn] + out / bw[sn, dn]))
         source = np.concatenate([dag._is_source for dag in apps])
         sn = node[source]
-        ready[source] = release[source] + (lat[origin, sn] + np.concatenate(
-            [dag._in for dag in apps])[source] / bw[origin, sn])
+        ready[source] = release[source] + (lat[USER, sn] + np.concatenate(
+            [dag._in for dag in apps])[source] / bw[USER, sn])
         late = start < ready - _EPS
         if late.any():
             k = int(np.argmax(late))
@@ -603,19 +594,18 @@ def _decision_order(workload: Sequence[AppDag],
 
 def simulate_workload(cluster: ClusterSpec, dags: Sequence[AppDag],
                       choices: Mapping[int, Mapping[int, int]],
-                      releases: Mapping[int, float] | None = None,
-                      origin: int = USER) -> list[ScheduleConfig]:
+                      releases: Mapping[int, float] | None = None) -> list[ScheduleConfig]:
     """Replay a complete task-to-node mapping through `IncrementalSim` in
     ready order. Memory is reserved in decision order, so the failure flags
     match an incremental run's. Each app lists its runs by (start, node)."""
-    sim = IncrementalSim(cluster, dags, releases, origin)
+    sim = IncrementalSim(cluster, dags, releases)
     heap: list[tuple[float, int, int, AppDag]] = []
     plan: dict[tuple[int, int], tuple[int, float]] = {}  # -> (node, MB reserved before it)
     mem = [0.0] * cluster.n
 
     def push(dag: AppDag, task: Task) -> None:
         ready, _ = _data_ready(cluster, dag, task, plan[dag.id, task.id][0],
-                               sim.runs[dag.id], sim.releases[dag.id], origin)
+                               sim.runs[dag.id], sim.releases[dag.id])
         heapq.heappush(heap, (ready, dag.id, task.id, dag))
 
     for dag, task in _decision_order(sim.workload, sim.releases):
@@ -639,16 +629,14 @@ def simulate_workload(cluster: ClusterSpec, dags: Sequence[AppDag],
     configs = [ScheduleConfig(dag.id, dict(sorted(
         sim.runs[dag.id].items(), key=lambda kv: (kv[1].start_s, kv[1].node))),
         sim.releases[dag.id]) for dag in sim.workload]
-    check_schedule(cluster, sim.workload, configs, origin)
+    check_schedule(cluster, sim.workload, configs)
     return configs
 
 
 def simulate_schedule(cluster: ClusterSpec, dag: AppDag,
-                      choices: Mapping[int, int], origin: int = USER,
-                      release_s: float = 0.0) -> ScheduleConfig:
+                      choices: Mapping[int, int]) -> ScheduleConfig:
     """Run one application alone on the cluster under a fixed mapping."""
-    return simulate_workload(cluster, [dag], {dag.id: choices},
-                             {dag.id: release_s}, origin)[0]
+    return simulate_workload(cluster, [dag], {dag.id: choices})[0]
 
 
 @dataclass(frozen=True)
@@ -664,15 +652,14 @@ class EpisodeResult:
 def _drive(cluster: ClusterSpec, workload: Sequence[AppDag],
            step: Callable[[IncrementalSim, AppDag, Task], StepOutcome],
            reward_spec: RewardSpec | None,
-           releases: Mapping[int, float] | None,
-           origin: int) -> EpisodeResult:
+           releases: Mapping[int, float] | None) -> EpisodeResult:
     """Commit every decision `step` makes; the result carries no transitions."""
-    sim = IncrementalSim(cluster, workload, releases, origin)
+    sim = IncrementalSim(cluster, workload, releases)
     outcomes = [step(sim, app, task)
                 for app, task in _decision_order(sim.workload, sim.releases)]
 
     configs = tuple(sim.config_for(app) for app in sim.workload)
-    check_schedule(cluster, sim.workload, configs, origin)
+    check_schedule(cluster, sim.workload, configs)
     rt = response_time(sim.workload, configs)
     ec = energy_consumption(configs)
     spec = reward_spec or RewardSpec(baseline_rt=max(rt, _EPS),
@@ -686,8 +673,7 @@ def _drive(cluster: ClusterSpec, workload: Sequence[AppDag],
 def run_episode(cluster: ClusterSpec, workload: Sequence[AppDag],
                 policy: Callable[[np.ndarray], int],
                 reward_spec: RewardSpec | None = None,
-                releases: Mapping[int, float] | None = None,
-                origin: int = USER) -> EpisodeResult:
+                releases: Mapping[int, float] | None = None) -> EpisodeResult:
     """Walk every task in arrival then topological order through the policy.
 
     Returns the transitions of every decision in order; the last one is
@@ -705,7 +691,7 @@ def run_episode(cluster: ClusterSpec, workload: Sequence[AppDag],
         actions.append(action)
         return sim.commit(app, task, action)
 
-    result = _drive(cluster, workload, step, reward_spec, releases, origin)
+    result = _drive(cluster, workload, step, reward_spec, releases)
     # transitions are built after the loop: nothing extra runs between decisions
     k = len(encoded)
     states = np.array(encoded).reshape(k, state_dim(cluster.n))
@@ -719,19 +705,17 @@ def run_episode(cluster: ClusterSpec, workload: Sequence[AppDag],
 
 def baseline_round_robin(cluster: ClusterSpec, workload: Sequence[AppDag],
                          reward_spec: RewardSpec | None = None,
-                         releases: Mapping[int, float] | None = None,
-                         origin: int = USER) -> EpisodeResult:
+                         releases: Mapping[int, float] | None = None) -> EpisodeResult:
     """Cycle node indices across decisions, irrespective of state."""
     counter = itertools.count()
     return _drive(cluster, workload,
                   lambda sim, app, task: sim.commit(app, task, next(counter) % cluster.n),
-                  reward_spec, releases, origin)
+                  reward_spec, releases)
 
 
 def baseline_greedy(cluster: ClusterSpec, workload: Sequence[AppDag],
                     reward_spec: RewardSpec | None = None,
-                    releases: Mapping[int, float] | None = None,
-                    origin: int = USER) -> EpisodeResult:
+                    releases: Mapping[int, float] | None = None) -> EpisodeResult:
     """Per task, peek every node and take the cheapest incremental cost.
 
     Failed placements are surcharged by |failure_penalty| so the greedy
@@ -739,24 +723,21 @@ def baseline_greedy(cluster: ClusterSpec, workload: Sequence[AppDag],
     node id. Without a reward_spec the baselines come from a round-robin
     run on the same inputs.
     """
-    spec = reward_spec or make_reward_spec(cluster, workload,
-                                           releases=releases, origin=origin)
+    spec = reward_spec or make_reward_spec(cluster, workload, releases=releases)
 
     def step(sim: IncrementalSim, app: AppDag, task: Task) -> StepOutcome:
         sweep = sim.peek(app, task)
         return sim.commit(app, task, int(np.argmin(_incremental_cost(sweep, spec))),
                           sweep)
 
-    return _drive(cluster, workload, step, spec, releases, origin)
+    return _drive(cluster, workload, step, spec, releases)
 
 
 def make_reward_spec(cluster: ClusterSpec, workload: Sequence[AppDag],
-                     releases: Mapping[int, float] | None = None,
-                     origin: int = USER) -> RewardSpec:
+                     releases: Mapping[int, float] | None = None) -> RewardSpec:
     """Baselines from a round-robin run on the same cluster and workload;
     the other settings at their defaults (`dataclasses.replace` changes them)."""
-    rr = baseline_round_robin(cluster, workload, releases=releases,
-                              origin=origin)
+    rr = baseline_round_robin(cluster, workload, releases=releases)
     return RewardSpec(baseline_rt=max(rr.total_rt, _EPS),
                       baseline_ec=max(rr.total_ec, _EPS))
 

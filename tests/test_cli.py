@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import re
 import statistics
+import time
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +292,28 @@ def test_train_dist_counters_conserved(tmp_path):
     assert (out / "policy.json").exists()
 
 
+@pytest.mark.parametrize("when", ["before connecting", "after sending"])
+def test_train_dist_failing_worker_exits_2_naming_it(tmp_path, capsys, monkeypatch, when):
+    real = cli.worker_loop
+
+    def worker_loop(endpoint, worker_id, *args, **kwargs):
+        if worker_id == "w01" and when == "before connecting":
+            raise ValueError(f"boom {when}")
+        report = real(endpoint, worker_id, *args, **kwargs)
+        if worker_id == "w01":
+            raise ValueError(f"boom {when}")
+        return report
+
+    monkeypatch.setattr(cli, "worker_loop", worker_loop)
+    cfg = write_config(tmp_path / "c.json", FAST_TRAIN)
+    started = time.monotonic()
+    rc = run_cli(["train-dist", "--config", cfg, "--workers", "2", "--seed", "6",
+                  "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert time.monotonic() - started < 10.0
+    assert f"worker w01 failed: ValueError: boom {when}" in capsys.readouterr().err
+
+
 # -- simulate ----------------------------------------------------------------
 
 
@@ -386,6 +410,26 @@ def test_simulate_non_integer_workload_id_exits_1(tmp_path, capsys):
                   "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "task id must be an integer, got 1.7" in capsys.readouterr().err
+
+
+def _one_task_app(app_id: int) -> dict:
+    return {"id": app_id, "tasks": [
+        {"id": 0, "compute_req": 100.0, "input_size": 1.0, "output_size": 1.0}]}
+
+
+@pytest.mark.parametrize("doc, why", [
+    ({"apps": [_one_task_app(0), _one_task_app(0)]}, "app id 0 appears twice"),
+    ({"apps": [_one_task_app(0)], "releases": {"0": 0.5, "99": 1.0}},
+     "release for app 99, which the workload does not have")])
+def test_simulate_repeated_or_unknown_workload_app_exits_1(tmp_path, capsys, doc, why):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path / "c.json", {"sim.workload": str(path)})
+    rc = run_cli(["simulate", "--config", cfg, "--baseline", "greedy",
+                  "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert why in err and str(path) in err
 
 
 def test_simulate_negative_task_size_exits_1(tmp_path, capsys):
@@ -505,3 +549,59 @@ def test_csv_bodies_identical_across_repeat_runs(tmp_path):
         for name in sorted(os.listdir(a)):
             if name.endswith(".csv"):
                 assert body(a / name) == body(b / name), (argv, name)
+
+
+# sha256 of each CSV body (its `#` lines left out) and of oracle.json, at seed
+# 21 on the configuration of acceptance criterion 12: any change to a
+# command's output changes a digest.
+PINNED_OUTPUTS = {
+    ("place", "--reps", "2", "--algorithms", "madcp,ga,random"): {
+        "place_ga_rep00.csv": "75b0e46810eb6ea07a8ae039c4f0e527f6c157c12668e8099bf94b1247ac0237",
+        "place_ga_rep01.csv": "05598df2702a26cdd8a27762679c05cd9ec01c8bc2ef7080e464731451c60f26",
+        "place_madcp_rep00.csv": "7b1dfd6b5978c1edfee4be538ed138805696646b4a2369934154bbf0d334a5ce",
+        "place_madcp_rep01.csv": "5bf698e01f78351caa1dd7c40351c5ad171f132fa7d7bdc10aeb815b6cddfa46",
+        "place_random_rep00.csv": "794bf80cb35001c5913278247b75459dba1541055bfcb29eb7cb0f611936ad22",
+        "place_random_rep01.csv": "32100e08a11d496e17db2e72fde56bbf18dae2059ee47fe25823e45ffc933353",
+        "place_summary.csv": "a73c56382e17e55f2a88b0e55ad25f2797f122088c078da30f2ff43b4930c9c2"},
+    ("train",): {
+        "rewards.csv": "4f7c9f69b51b9424f450ca9d89410b637e3bc88b40dae64563f92837ac2f66db"},
+    ("train-dist", "--workers", "2"): {
+        "train_dist.csv": "d8329b1b1596fab9ec9cbd896fbe0a65f77694636eb0c5e135a548775bf161e2"},
+    ("simulate", "--baseline", "round_robin"): {
+        "metrics.csv": "5cf88e3c5513b955c822a3421d314d040a595fa111157dc89539f575021cf19b",
+        "schedule.csv": "4798c9cb250015b40d2e95e680b78068d38948bafabb7815936a12c5723965f6"},
+    ("simulate", "--baseline", "greedy"): {
+        "metrics.csv": "439b91e0da4664fdf3b434905affac7782e739a2f84ea01096e9579172f6de4f",
+        "schedule.csv": "16eaf914da61117f0189d24961f819a2556ce7ccd7a8711f634a1407ec2193f9"},
+    ("simulate", "--baseline", "random"): {
+        "metrics.csv": "773ab0166456ee429f37fba6bab6f449a2d9ce203ff7dc22ebdefc5fe5b3f330",
+        "schedule.csv": "689aed015834733e498554d71d1cc3a2672a2401b116cb73f21117b1f05fe8bb"},
+    ("oracle",): {
+        "oracle.json": "3bf29d6953a89f66019c688e7f8dfea4fc8d72cb6e9d4875881f37ca53a96dbb"},
+    ("bench",): {
+        "bench.csv": "c1155105cb1d2090bfe64369d500c1f6eacac301e5a8ac536714d034648542c1"},
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_OUTPUTS), ids=" ".join)
+def test_cli_outputs_pinned(tmp_path, monkeypatch, argv):
+    monkeypatch.delenv(cli.ENDPOINT_ENV_VAR, raising=False)
+    cfg = write_config(tmp_path / "c.json", {
+        "madcp.population_size": 16, "madcp.generations": 5,
+        "ga.population_size": 16, "ga.generations": 5,
+        "place.m": 4, "place.n": 3,
+        "train.episodes": 3, "sim.apps": 2, "sim.tasks_per_app": 3,
+        "dqn.hidden_sizes": [8], "dqn.batch_size": 8,
+        "dqn.buffer_capacity": 128, "dqn.eps_decay_steps": 20,
+        "dqn.target_sync_interval": 4,
+        "bench.populations": "16,32", "bench.generations": 4,
+        "bench.m": 8, "bench.n": 4})
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--config", cfg, "--seed", "21", "--out", str(out)]) == 0
+    got = {}
+    for name in sorted(os.listdir(out)):
+        if name.endswith(".csv"):
+            got[name] = hashlib.sha256(body(out / name).encode()).hexdigest()
+        elif name == "oracle.json":
+            got[name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    assert got == PINNED_OUTPUTS[argv]

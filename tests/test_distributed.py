@@ -21,10 +21,10 @@ from reinfog.distributed import (
     _connect_with_retry,
 )
 from reinfog import dqn, protocol
-from reinfog.dqn import DqnConfig
+from reinfog.dqn import DqnAgent, DqnConfig
 from reinfog.explore import eps_greedy
 from reinfog.model import Node
-from reinfog.network import NetworkParams, forward, policy_to_doc
+from reinfog.network import forward, policy_to_doc
 from reinfog.protocol import (
     ExperienceBatch,
     PolicySync,
@@ -512,12 +512,11 @@ def test_connect_retry_gives_up():
 
 
 def test_centralized_zero_episodes_returns_initial():
-    initial = NetworkParams.glorot((STATE_DIM, 8, CLUSTER.n), rng=3)
-    res = centralized_mode(CLUSTER, WORKLOAD, episodes=0, dqn_cfg=SMALL_CFG,
-                           initial=initial)
+    res = centralized_mode(CLUSTER, WORKLOAD, episodes=0, dqn_cfg=SMALL_CFG, seed=3)
     assert isinstance(res, CentralizedResult)
     assert res.trace == ()
     assert res.updates == 0
+    initial = DqnAgent(STATE_DIM, CLUSTER.n, SMALL_CFG, rng=np.random.default_rng(3)).online
     assert policy_to_doc(res.policy) == policy_to_doc(initial)
 
 

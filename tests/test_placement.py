@@ -525,14 +525,15 @@ def test_firefly_pass_memory_is_bounded():
 
 
 def test_fitness_calls_per_generation(monkeypatch):
-    # fa_run's firefly pass reuses the fitness that closed the generation before
+    # fa_run's firefly pass reuses the fitness that closed the generation before;
+    # madcp_run takes no fitness for the personal bests its GA phase resets
     calls = []
     real = _CostTables.fitness_many
     monkeypatch.setattr(_CostTables, "fitness_many",
                         lambda self, assign, lam: calls.append(lam) or real(self, assign, lam))
     inst = random_instance(6, 3, np.random.default_rng(11))
     for run, make, per_generation in ((fa_run, PlacementParams.fa, 1),
-                                      (madcp_run, PlacementParams.madcp, 3)):
+                                      (madcp_run, PlacementParams.madcp, 2)):
         for gens in (1, 5):
             calls.clear()
             run(inst, make(population_size=20, generations=gens), rng=12)

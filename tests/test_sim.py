@@ -56,11 +56,14 @@ def chain_dag(computes, out=1.0, inp=0.0) -> AppDag:
     return AppDag(0, tuple(tasks))
 
 
-def two_node_cluster(lat=0.1, bw=10.0) -> ClusterSpec:
+def two_node_cluster(lat=0.1, bw=10.0, user_lat=None) -> ClusterSpec:
+    """Links of `lat`; the user's links of `user_lat` when given."""
     nodes = (Node(0, 1000.0, 1024.0, 50.0), Node(1, 1000.0, 1024.0, 50.0))
     link = LinkSpec(lat, bw)
+    user = link if user_lat is None else LinkSpec(user_lat, bw)
     endpoints = [0, 1, USER]
-    links = {(s, d): link for s in endpoints for d in endpoints if s != d}
+    links = {(s, d): user if s == USER else link
+             for s in endpoints for d in endpoints if s != d}
     return ClusterSpec(nodes, links)
 
 
@@ -136,9 +139,9 @@ def test_cluster_json_rejects_non_finite_numbers(section, field, literal):
 
 
 def test_chain_on_one_node_serial_finishes():
-    cluster = two_node_cluster()
+    cluster = two_node_cluster(user_lat=0.0)
     dag = chain_dag([1000.0, 2000.0])
-    cfg = simulate_schedule(cluster, dag, {0: 0, 1: 0}, origin=0)
+    cfg = simulate_schedule(cluster, dag, {0: 0, 1: 0})
     assert cfg.entries[0].finish_s == pytest.approx(1.0)
     assert cfg.entries[1].start_s == pytest.approx(1.0)
     assert cfg.entries[1].finish_s == pytest.approx(3.0)
@@ -146,9 +149,9 @@ def test_chain_on_one_node_serial_finishes():
 
 def test_chain_split_across_nodes_pays_transfer():
     # fin(t0)=1, then 0.1 latency + 1MB / 10MB/s -> start 1.2
-    cluster = two_node_cluster(lat=0.1, bw=10.0)
+    cluster = two_node_cluster(lat=0.1, bw=10.0, user_lat=0.0)
     dag = chain_dag([1000.0, 2000.0], out=1.0)
-    cfg = simulate_schedule(cluster, dag, {0: 0, 1: 1}, origin=0)
+    cfg = simulate_schedule(cluster, dag, {0: 0, 1: 1})
     assert cfg.entries[0].finish_s == pytest.approx(1.0)
     assert cfg.entries[1].start_s == pytest.approx(1.2)
     assert cfg.entries[1].finish_s == pytest.approx(3.2)
@@ -204,7 +207,7 @@ def test_node_serves_in_ready_order():
         Task(2, 1000.0, 0.0, 1.0, predecessors=(1,)),    # ready 1.2
         Task(3, 500.0, 10.0, 1.0),                       # ready at 1.0 (input pull)
     ))
-    cfg = simulate_schedule(cluster, dag, {0: 0, 1: 1, 2: 0, 3: 0}, origin=1)
+    cfg = simulate_schedule(cluster, dag, {0: 0, 1: 1, 2: 0, 3: 0})
     assert cfg.entries[3].start_s == pytest.approx(3.0)
     assert cfg.entries[2].start_s == pytest.approx(3.5)
 
@@ -219,17 +222,17 @@ def test_ready_tie_breaks_by_task_id():
 
 
 def test_deadline_miss_flags_failure():
-    cluster = uniform_cluster(1)
+    cluster = uniform_cluster(1, latency_s=0.0)
     dag = AppDag(0, (Task(0, 2000.0, 0.0, 1.0, deadline=1.0),))
-    cfg = simulate_schedule(cluster, dag, {0: 0}, origin=0)
+    cfg = simulate_schedule(cluster, dag, {0: 0})
     assert not cfg.entries[0].success
     assert not cfg.all_success
 
 
 def test_memory_overflow_fails_but_still_runs():
-    cluster = uniform_cluster(1, mem_avail=10.0)
+    cluster = uniform_cluster(1, mem_avail=10.0, latency_s=0.0)
     dag = AppDag(0, (Task(0, 1000.0, 4.0, 4.0), Task(1, 1000.0, 4.0, 4.0)))
-    cfg = simulate_schedule(cluster, dag, {0: 0, 1: 0}, origin=0)
+    cfg = simulate_schedule(cluster, dag, {0: 0, 1: 0})
     assert cfg.entries[0].success
     assert not cfg.entries[1].success
     assert cfg.entries[1].finish_s > cfg.entries[1].start_s
@@ -237,14 +240,14 @@ def test_memory_overflow_fails_but_still_runs():
 
 def test_check_schedule_rejects_a_start_before_the_inputs_arrive():
     # task 1 alone on node 1, its input from node 0 due at 1.2: no overlap
-    cluster = two_node_cluster(lat=0.1, bw=10.0)
+    cluster = two_node_cluster(lat=0.1, bw=10.0, user_lat=0.0)
     dag = chain_dag([1000.0, 2000.0], out=1.0)
-    cfg = simulate_schedule(cluster, dag, {0: 0, 1: 1}, origin=0)
+    cfg = simulate_schedule(cluster, dag, {0: 0, 1: 1})
     bad = cfg.entries[1]
     cfg.entries[1] = type(bad)(bad.node, 1.1, 3.1, bad.energy_j, True)
     with pytest.raises(ValueError, match=r"app 0 task 1 starts at 1\.1 before its inputs "
                                          r"arrive at 1\.2"):
-        check_schedule(cluster, [dag], [cfg], origin=0)
+        check_schedule(cluster, [dag], [cfg])
 
 
 def test_check_schedule_rejects_two_tasks_at_once_on_a_node():
@@ -454,7 +457,7 @@ def test_greedy_ties_go_to_the_lowest_node_id():
 
 
 def _sweep_case(seed: int):
-    """A heterogeneous cluster, deadlines, tight memory and a random origin."""
+    """A heterogeneous cluster, deadlines and tight memory."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 7))
     nodes = tuple(Node(i, float(rng.uniform(200.0, 2000.0)),
@@ -469,16 +472,14 @@ def _sweep_case(seed: int):
         replace(t, deadline=float(rng.uniform(0.1, 3.0))) if rng.random() < 0.4 else t
         for t in dag.tasks)) for dag in workload]
     releases = poisson_releases(workload, 1.0, rng=rng) if rng.random() < 0.7 else None
-    origin = int(rng.integers(-1, n))
-    return rng, ClusterSpec(nodes, links), workload, releases, origin
+    return rng, ClusterSpec(nodes, links), workload, releases
 
 
 def test_peek_sweep_equals_scalar_outcome_bit_for_bit():
     seen = set()
     for seed in range(12):
-        rng, cluster, workload, releases, origin = _sweep_case(seed)
-        sim = IncrementalSim(cluster, workload, releases, origin)
-        seen.add("node origin" if origin != USER else "user origin")
+        rng, cluster, workload, releases = _sweep_case(seed)
+        sim = IncrementalSim(cluster, workload, releases)
         for app, task in _decision_order(workload, sim.releases):
             sweep = sim.peek(app, task)
             for j in range(cluster.n):
@@ -492,8 +493,7 @@ def test_peek_sweep_equals_scalar_outcome_bit_for_bit():
             seen.add("deadline" if task.deadline is not None else "no deadline")
             seen.update(map(bool, sweep.success))
             sim.commit(app, task, int(rng.integers(cluster.n)))
-    assert seen == {0, 1, 2, True, False, "deadline", "no deadline",
-                    "node origin", "user origin"}
+    assert seen == {0, 1, 2, True, False, "deadline", "no deadline"}
 
 
 def test_pending_cycles_bisection_equals_filter_sum_when_now_falls():
@@ -552,9 +552,8 @@ def test_encode_state_equals_the_per_node_loop_at_every_decision(n):
             replace(t, deadline=float(rng.uniform(0.5, 5.0))) if rng.random() < 0.3 else t
             for t in dag.tasks)) for dag in workload]
         releases = poisson_releases(workload, 2.0, rng=rng) if seed % 3 else None
-        origin = int(rng.integers(-1, n))
         spec = RewardSpec(baseline_rt=1.0, baseline_ec=100.0)
-        sim = IncrementalSim(cluster, workload, releases, origin)
+        sim = IncrementalSim(cluster, workload, releases)
         previous = -np.inf
         for app, task in _decision_order(workload, sim.releases):
             got = encode_state(cluster, sim, app, task)
@@ -576,9 +575,8 @@ def test_encode_state_equals_the_per_node_loop_at_every_decision(n):
             else:
                 sim.commit(app, task, int(rng.integers(n)))
         seen.add("releases" if releases else "no releases")
-        seen.add("node origin" if origin != USER else "user origin")
     assert {"now falls", "busy node", "idle node", "clipped capacity", "clipped memory",
-            "deadline", "releases", "no releases", "node origin", "user origin"} <= seen
+            "deadline", "releases", "no releases"} <= seen
 
 
 def test_encode_state_returns_a_fresh_array_at_every_call():
@@ -695,7 +693,7 @@ def test_random_schedules_pass_internal_checks():
 # --- offline replay against the event loop it replaced -----------------------
 
 
-def _event_loop_reference(cluster, dags, choices, releases=None, origin=USER):
+def _event_loop_reference(cluster, dags, choices, releases=None):
     """The discrete-event loop `simulate_workload` used to run: per-node
     waiting heaps in ready order, events merged within 1e-9, memory flags
     from decision order. Nodes are indexed as given, without checks."""
@@ -716,7 +714,7 @@ def _event_loop_reference(cluster, dags, choices, releases=None, origin=USER):
 
     def mark_ready(dag, task):
         node = choices[dag.id][task.id]
-        ready, _ = _data_ready(cluster, dag, task, node, runs[dag.id], rel[dag.id], origin)
+        ready, _ = _data_ready(cluster, dag, task, node, runs[dag.id], rel[dag.id])
         heapq.heappush(waiting[node], (ready, dag.id, task.id))
         heapq.heappush(times, ready)
 
@@ -775,18 +773,17 @@ def _tie_heavy_case(rng: np.random.Generator):
         for t in dag.tasks)) for dag in workload]
     releases = ({dag.id: float(rng.choice([0.0, 0.5, 1.0])) for dag in workload}
                 if rng.random() < 0.5 else None)
-    origin = int(rng.integers(n)) if rng.random() < 0.3 else USER
     choices = {dag.id: {t.id: int(rng.integers(n)) for t in dag.tasks} for dag in workload}
-    return cluster, workload, choices, releases, origin
+    return cluster, workload, choices, releases
 
 
 def test_replay_runs_equal_the_event_loop_it_replaced():
     rng = np.random.default_rng(1212)
-    seen = {"late": 0, "overflow": 0, "released": 0, "node origin": 0, "tied starts": 0}
+    seen = {"late": 0, "overflow": 0, "released": 0, "tied starts": 0}
     for _ in range(600):
-        cluster, workload, choices, releases, origin = _tie_heavy_case(rng)
-        new = simulate_workload(cluster, workload, choices, releases, origin)
-        old = _event_loop_reference(cluster, workload, choices, releases, origin)
+        cluster, workload, choices, releases = _tie_heavy_case(rng)
+        new = simulate_workload(cluster, workload, choices, releases)
+        old = _event_loop_reference(cluster, workload, choices, releases)
         assert [c.entries for c in new] == [c.entries for c in old]
         assert [c.release_s for c in new] == [c.release_s for c in old]
         for cfg in new:  # each app lists its runs by (start, node)
@@ -799,9 +796,8 @@ def test_replay_runs_equal_the_event_loop_it_replaced():
         seen["late"] += any(late)
         seen["overflow"] += any(not r.success and not miss for (_, r), miss in zip(runs, late))
         seen["released"] += releases is not None
-        seen["node origin"] += origin != USER
         seen["tied starts"] += len(set(starts)) < len(starts)
-    # the cases reach memory and deadline failures, releases, node origins and ties
+    # the cases reach memory and deadline failures, releases and ties
     assert min(seen.values()) >= 50, seen
 
 
@@ -883,7 +879,7 @@ def _pinned_cluster(rng: np.random.Generator, n: int, mem: float) -> ClusterSpec
 
 def _pinned_case(seed: int, n: int, apps: int, tasks: int, density: float,
                  mem: float, rate: float | None, deadlines: bool,
-                 shuffle: bool, origin: int) -> str:
+                 shuffle: bool) -> str:
     rng = np.random.default_rng(seed)
     cluster = _pinned_cluster(rng, n, mem)
     workload = generate_workload(apps, tasks, rng=rng, density=density)
@@ -901,14 +897,14 @@ def _pinned_case(seed: int, n: int, apps: int, tasks: int, density: float,
     def policy(state: np.ndarray) -> int:
         return int(np.argmax(weights @ state))
 
-    spec = make_reward_spec(cluster, workload, releases=releases, origin=origin)
-    greedy = baseline_greedy(cluster, workload, spec, releases, origin)
-    rr = baseline_round_robin(cluster, workload, spec, releases, origin)
-    episode = run_episode(cluster, workload, policy, spec, releases, origin)
-    unscaled = run_episode(cluster, workload, policy, None, releases, origin)
+    spec = make_reward_spec(cluster, workload, releases=releases)
+    greedy = baseline_greedy(cluster, workload, spec, releases)
+    rr = baseline_round_robin(cluster, workload, spec, releases)
+    episode = run_episode(cluster, workload, policy, spec, releases)
+    unscaled = run_episode(cluster, workload, policy, None, releases)
     choices = {dag.id: {t.id: int(rng.integers(n)) for t in dag.tasks}
                for dag in workload}
-    offline = simulate_workload(cluster, workload, choices, releases, origin)
+    offline = simulate_workload(cluster, workload, choices, releases)
     results = tuple(replace(r, steps=None) for r in (greedy, rr, episode, unscaled))
     digest = hashlib.sha256(repr((spec, *results, offline)).encode())
     for t in (episode.steps, unscaled.steps):
@@ -919,17 +915,17 @@ def _pinned_case(seed: int, n: int, apps: int, tasks: int, density: float,
 
 @pytest.mark.parametrize("case, digest", [
     (dict(seed=0, n=3, apps=2, tasks=8, density=0.0, mem=1024.0, rate=None,
-          deadlines=False, shuffle=False, origin=USER),
+          deadlines=False, shuffle=False),
      "c7561a460a186ac3ab0aedea0259ac701b6d540f41ba8e086584b57d4e1c9a61"),
     (dict(seed=1, n=4, apps=3, tasks=12, density=0.5, mem=120.0, rate=2.0,
-          deadlines=True, shuffle=False, origin=USER),
+          deadlines=True, shuffle=False),
      "903d4c0a73ecb61294c7dfcf0c963945a6f2003a0860f94a82a312c83e4f4946"),
     (dict(seed=2, n=5, apps=2, tasks=10, density=1.0, mem=60.0, rate=0.5,
-          deadlines=False, shuffle=True, origin=USER),
+          deadlines=False, shuffle=True),
      "0ddd85ae36dce2bb88cfae5838a1dd75499193c68a8cf883c74af11df5066554"),
     (dict(seed=3, n=4, apps=3, tasks=9, density=0.5, mem=200.0, rate=1.0,
-          deadlines=True, shuffle=True, origin=1),
-     "4eb4269f778a9c2dd6b084e2b38f383342f2d717285b4a40cd93c3038a6e1dd2"),
+          deadlines=True, shuffle=True),
+     "f7bc45619f0f2adbf1721eb377f5c0766e570787e2151ae76e43bac2fb04ed9b"),
 ])
 def test_simulator_outputs_pinned(case, digest):
     assert _pinned_case(**case) == digest
@@ -951,11 +947,6 @@ def test_unscheduled_predecessor_is_rejected():
     with pytest.raises(ValueError, match="already scheduled"):
         sim.commit(dag, dag.task(0), 1)
 
-
-@pytest.mark.parametrize("origin", [-2, 2])
-def test_unknown_origin_is_rejected(origin):
-    with pytest.raises(ValueError, match=f"origin {origin} is neither"):
-        IncrementalSim(uniform_cluster(2), [chain_dag([100.0])], origin=origin)
 
 
 @pytest.mark.parametrize("release", [float("nan"), float("inf")])
