@@ -37,7 +37,7 @@ from .distributed import (
     worker_loop,
 )
 from .dqn import DqnConfig
-from .model import AppDag, Node, dag_from_json, fold_sum, instance_from_json, require_finite
+from .model import AppDag, Node, dag_from_json, fold_sum, instance_from_json
 from .network import forward, load_policy, save_policy
 from .placement import (
     InstanceTooLarge,
@@ -55,6 +55,7 @@ from .placement import (
 from .sim import (
     ClusterSpec,
     RewardSpec,
+    _release_times,
     baseline_greedy,
     baseline_round_robin,
     cluster_from_json,
@@ -266,18 +267,10 @@ def _resolve_cluster(cfg: Config) -> ClusterSpec:
 
 def _workload_from_json(doc) -> tuple[list[AppDag], dict[int, float] | None]:
     apps = [dag_from_json(d) for d in doc["apps"]]
-    ids: set[int] = set()
-    for dag in apps:
-        if dag.id in ids:
-            raise ValueError(f"app id {dag.id} appears twice")
-        ids.add(dag.id)
     releases = doc.get("releases")
     if releases is not None:
         releases = {int(k): float(v) for k, v in releases.items()}
-        require_finite("releases", **{str(k): v for k, v in releases.items()})
-        unknown = sorted(releases.keys() - ids)
-        if unknown:
-            raise ValueError(f"release for app {unknown[0]}, which the workload does not have")
+    _release_times(apps, releases)
     return apps, releases
 
 

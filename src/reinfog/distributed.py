@@ -25,7 +25,6 @@ Topology and rules:
 
 from __future__ import annotations
 
-import os
 import queue
 import socket
 import threading
@@ -82,13 +81,6 @@ def parse_endpoint(text: str) -> tuple[str, int]:
     if not 0 <= number <= 65535:
         raise ValueError(f"port {number} in {text!r} is not in [0, 65535]")
     return host, number
-
-
-def endpoint_from_env() -> tuple[str, int]:
-    raw = os.environ.get(ENDPOINT_ENV_VAR)
-    if not raw:
-        raise ValueError(f"no endpoint given and {ENDPOINT_ENV_VAR} is unset")
-    return parse_endpoint(raw)
 
 
 def _take_batches(pending: list[Transitions], size: int,
@@ -446,7 +438,7 @@ class WorkerReport:
     shutdown_reason: str | None
 
 
-def worker_loop(endpoint: tuple[str, int] | None, worker_id: str,
+def worker_loop(endpoint: tuple[str, int], worker_id: str,
                 cluster: ClusterSpec, workload, episodes: int,
                 sync: SyncConfig | None = None,
                 dqn_cfg: DqnConfig | None = None,
@@ -454,12 +446,9 @@ def worker_loop(endpoint: tuple[str, int] | None, worker_id: str,
                 releases=None, rng: np.random.Generator | int | None = None) -> WorkerReport:
     """Collect episodes and stream them to the learner until done or told to stop.
 
-    The endpoint falls back to the REINFOG_LEARNER_ADDR environment
-    variable. Acting is epsilon-greedy on the latest synced policy; policy
-    swaps happen only between decisions.
+    Acting is epsilon-greedy on the latest synced policy; policy swaps happen
+    only between decisions.
     """
-    if endpoint is None:
-        endpoint = endpoint_from_env()
     sync = sync or SyncConfig()
     spec = reward_spec or make_reward_spec(cluster, workload, releases=releases)
     agent = DqnAgent(sim.state_dim(cluster.n), cluster.n, dqn_cfg, rng=rng)

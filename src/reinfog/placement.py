@@ -140,6 +140,28 @@ class _CostTables:
         self._demand = np.stack([self.demand_cycles, self.demand_mem])[:, None, :]
         self._caps = np.stack([cap, self.cap_mem])[:, None, :]
         self._layouts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._firefly: dict[tuple[int, int], tuple] = {}
+
+    def _firefly_buffers(self, shape: tuple[int, int]) -> tuple:
+        """A firefly pass's buffers for a population of `shape`, built once per shape.
+
+        Genes take the narrowest unsigned type that holds a node index: the
+        step to an attractor wraps around, and adding it back is still exact.
+        `heads[k]` holds the views an attractor with k movers works on.
+        """
+        buffers = self._firefly.get(shape)
+        if buffers is None:
+            gene = np.min_scalar_type(self.n - 1)
+            snapshot, work, step = (np.empty(shape, gene) for _ in range(3))
+            drawn = np.empty(shape)  # first the 0/1 gene differences, then the uniforms
+            uniform = np.empty(shape)
+            moves = np.empty(shape, dtype=bool)
+            flags = moves.view(np.uint8)
+            heads = [(work[:k], step[:k], drawn[:k], uniform[:k], moves[:k], flags[:k])
+                     for k in range(shape[0] + 1)]
+            buffers = self._firefly[shape] = (snapshot, list(snapshot), work, heads,
+                                              np.zeros(shape[1], gene))
+        return buffers
 
     def _gene_sums(self, assign: np.ndarray) -> np.ndarray:
         """Per-row sums of the gene cost (row 0) and deadline overrun (row 1)."""
@@ -224,9 +246,10 @@ def firefly_movement(pop: Population, inst: PlacementInstance, alpha: float,
     mover index order; `ranks` reorders them onto the prefix, so the random
     stream is consumed exactly as a per-mover gather would. The step to the
     attractor gives the Hamming distance (its non-zero genes) and, with the
-    genes that stay zeroed, the move itself. Per-attractor results go into
-    buffers allocated once per pass. `tables` is built from `inst` when not
-    given; `fit`, the fitness of `pop.assign`, is computed when not given.
+    genes that stay zeroed, the move itself. Genes, buffers and every
+    per-attractor view come from `tables`, which builds them once per
+    population shape. `tables` is built from `inst` when not given; `fit`,
+    the fitness of `pop.assign`, is computed when not given.
     """
     if tables is None:
         tables = _CostTables(inst)
@@ -243,26 +266,20 @@ def firefly_movement(pop: Population, inst: PlacementInstance, alpha: float,
     r = np.arange(m + 1) / m
     move_p = (beta * np.exp(-gamma * r * r))[:, None]  # row d: Hamming distance d
     ones = np.ones(m)
-    work = assign[order]
-    step = np.empty_like(work)
-    drawn = np.empty(work.shape)  # first the 0/1 gene differences, then the uniforms
-    uniform = np.empty(work.shape)
-    moves = np.empty(work.shape, dtype=bool)
-    for attractor, k in zip(assign, counts.tolist()):
+    snapshot, attractors, work, heads, zero = tables._firefly_buffers(assign.shape)
+    np.copyto(snapshot, assign, casting="unsafe")
+    snapshot.take(order, axis=0, out=work)
+    for attractor, k in zip(attractors, counts.tolist()):
         if k == 0:
             continue
-        head = work[:k]
-        s = step[:k]
+        head, s, u, v, mv, flags = heads[k]
         np.subtract(attractor, head, out=s)
-        u = drawn[:k]
-        np.not_equal(s, 0, out=u)
+        np.not_equal(s, zero, out=u)
         p = move_p.take(u.dot(ones).astype(np.intp), axis=0)  # exact 0/1 sums
         rng.random(out=u)
-        v = uniform[:k]
         u.take(ranks[k, :k], axis=0, out=v, mode="clip")
-        mv = moves[:k]
         np.less(v, p, out=mv)
-        s *= mv  # a gene already equal to the attractor's has a zero step
+        s *= flags  # a gene already equal to the attractor's has a zero step
         head += s
     assign[order] = work
     if alpha > 0.0:

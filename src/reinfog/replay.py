@@ -127,18 +127,25 @@ class ReservoirReplayBuffer:
         self._rows: Transitions | None = None
 
     def push(self, batch: Transitions, rng: np.random.Generator) -> None:
-        """Offer the batch's rows in order; once full, one `rng.integers(0, seen)` a row."""
-        keep = list(range(len(self)))  # indexes into the kept rows, then the batch
-        for row in range(len(self), len(self) + len(batch)):
-            self.seen += 1
-            if len(keep) < self.capacity:
-                keep.append(row)
-                continue
-            slot = int(rng.integers(0, self.seen))
-            if slot < self.capacity:
-                keep[slot] = row
+        """Offer the batch's rows in order; once full, row N draws `rng.integers(0, N)`.
+
+        One call draws every row's slot: numpy draws an array of bounds as it
+        would one scalar call per bound. A slot drawn twice keeps the later row.
+        """
+        held = len(self)
+        fill = min(len(batch), self.capacity - held)  # rows appended while not full
+        keep = np.arange(held + fill)  # indexes into the kept rows, then the batch
+        bounds = np.arange(self.seen + fill + 1, self.seen + len(batch) + 1)
+        self.seen += len(batch)
+        if bounds.size:
+            slots = rng.integers(0, bounds)
+            drawing = np.arange(held + fill, held + len(batch))
+            hit = slots < self.capacity
+            # reversed, a slot's first index in np.unique is its last write
+            slot, last = np.unique(slots[hit][::-1], return_index=True)
+            keep[slot] = drawing[hit][::-1][last]
         rows = batch if self._rows is None else Transitions.concat([self._rows, batch])
-        self._rows = rows[np.array(keep, dtype=np.int64)]
+        self._rows = rows[keep]
 
     def sample(self, k: int, rng: np.random.Generator) -> Transitions:
         if k > len(self):

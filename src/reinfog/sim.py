@@ -296,11 +296,22 @@ def compute_reward(outcome: StepOutcome, spec: RewardSpec) -> float:
 
 def _release_times(workload: Sequence[AppDag],
                    releases: Mapping[int, float] | None) -> dict[int, float]:
-    """Release per app id, 0.0 where none is given; every one must be finite."""
-    rel = {dag.id: 0.0 for dag in workload}
+    """Release per app id, 0.0 where none is given; every one must be finite.
+
+    Raises ValueError for an app id that appears twice and for a release of
+    an app that the workload does not have.
+    """
+    rel: dict[int, float] = {}
+    for dag in workload:
+        if dag.id in rel:
+            raise ValueError(f"app id {dag.id} appears twice")
+        rel[dag.id] = 0.0
     if releases:
+        unknown = sorted(releases.keys() - rel.keys())
         rel.update(releases)
         require_finite("releases", **{str(k): v for k, v in rel.items()})
+        if unknown:
+            raise ValueError(f"release for app {unknown[0]}, which the workload does not have")
     return rel
 
 

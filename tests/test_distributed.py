@@ -14,7 +14,6 @@ from reinfog.distributed import (
     SyncConfig,
     WorkerReport,
     centralized_mode,
-    endpoint_from_env,
     parse_endpoint,
     replay_arrivals,
     worker_loop,
@@ -75,7 +74,7 @@ def test_sync_config_validation():
         SyncConfig(batch_flush=0)
 
 
-def test_parse_endpoint(monkeypatch):
+def test_parse_endpoint():
     assert parse_endpoint("127.0.0.1:9000") == ("127.0.0.1", 9000)
     with pytest.raises(ValueError):
         parse_endpoint("9000")
@@ -83,11 +82,6 @@ def test_parse_endpoint(monkeypatch):
     for port in ("65536", "99999", "-1"):
         with pytest.raises(ValueError, match=f"port {port} in '127.0.0.1:{port}'"):
             parse_endpoint(f"127.0.0.1:{port}")
-    monkeypatch.setenv("REINFOG_LEARNER_ADDR", "10.0.0.1:4242")
-    assert endpoint_from_env() == ("10.0.0.1", 4242)
-    monkeypatch.delenv("REINFOG_LEARNER_ADDR")
-    with pytest.raises(ValueError):
-        endpoint_from_env()
 
 
 def test_zero_workers_learner_stays_idle():

@@ -495,9 +495,10 @@ def test_firefly_matches_reference_loop(size, m):
 
 @pytest.mark.parametrize("size", [2, 50, 200])
 @pytest.mark.parametrize("m", [1, 30])
-@pytest.mark.parametrize("n", [1, 10])
+@pytest.mark.parametrize("n", [1, 10, 300])
 def test_firefly_matches_reference_loop_across_node_counts(size, m, n):
-    # one node makes every row tie; ten is the benchmark's node count
+    # one node makes every row tie; ten is the benchmark's node count; 300
+    # nodes take 16-bit genes
     rng = np.random.default_rng([size, m, n])
     inst = random_instance(m, n, rng, slack=0.7)
     tables = _CostTables(inst)
@@ -505,6 +506,24 @@ def test_firefly_matches_reference_loop_across_node_counts(size, m, n):
         assign = tied_rows(rng, size, m, n)
         assert_firefly_matches_reference(assign, inst, tables, alpha, beta, gamma,
                                          seed=int(rng.integers(2 ** 32)))
+
+
+def test_firefly_second_pass_on_same_tables_matches_fresh_tables():
+    # the pass keeps its buffers on the tables: what one pass leaves in them
+    # must not reach the next
+    rng = np.random.default_rng(44)
+    inst = random_instance(30, 10, rng)
+    kept = _CostTables(inst)
+    for trial in range(4):
+        assign = tied_rows(rng, 50, 30, 10)
+        seed = int(rng.integers(2 ** 32))
+        got, fresh = hand_population(assign.tolist()), hand_population(assign.tolist())
+        got_rng, fresh_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        firefly_movement(got, inst, 0.2, 0.8, 0.5, got_rng, tables=kept)
+        firefly_movement(fresh, inst, 0.2, 0.8, 0.5, fresh_rng, tables=_CostTables(inst))
+        assert got.assign.tobytes() == fresh.assign.tobytes(), trial
+        assert got.position.tobytes() == fresh.position.tobytes(), trial
+        assert got_rng.bit_generator.state == fresh_rng.bit_generator.state
 
 
 def test_firefly_pass_memory_is_bounded():
@@ -540,12 +559,13 @@ def test_fitness_calls_per_generation(monkeypatch):
             assert len(calls) == 1 + per_generation * gens, run.__name__
 
 
-class _FixedFitness:
+class _FixedFitness(_CostTables):
     """Cost-table stand-in whose fitness is given, NaN and -inf included."""
 
     def __init__(self, fit, n):
         self.fit = np.asarray(fit, dtype=float)
         self.n = n
+        self._firefly = {}
 
     def fitness_many(self, assign, penalty_lambda):
         return self.fit.copy()

@@ -172,6 +172,51 @@ def test_reservoir_keeps_and_samples_what_a_row_at_a_time_reservoir_does(batch):
     assert rng_buf.bit_generator.state == rng_oracle.bit_generator.state
 
 
+def test_integers_draws_an_array_of_bounds_as_one_scalar_call_per_bound():
+    # ReservoirReplayBuffer.push rests on this: an upgrade of numpy that
+    # breaks it must fail here
+    for seed in range(20):
+        bounds = np.concatenate([np.arange(100, 10_000),
+                                 2 ** 32 + np.arange(-50, 50), 2 ** 40 + np.arange(50)])
+        one, each = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = one.integers(0, bounds)
+        assert drawn.tolist() == [int(each.integers(0, int(b))) for b in bounds]
+        assert one.bit_generator.state == each.bit_generator.state
+
+
+class LoopReservoir(ReservoirReplayBuffer):
+    """The push that draws one slot a row in a Python loop."""
+
+    def push(self, batch: Transitions, rng: np.random.Generator) -> None:
+        keep = list(range(len(self)))
+        for row in range(len(self), len(self) + len(batch)):
+            self.seen += 1
+            if len(keep) < self.capacity:
+                keep.append(row)
+                continue
+            slot = int(rng.integers(0, self.seen))
+            if slot < self.capacity:
+                keep[slot] = row
+        rows = batch if self._rows is None else Transitions.concat([self._rows, batch])
+        self._rows = rows[np.array(keep, dtype=np.int64)]
+
+
+@pytest.mark.parametrize("pattern", [[1] * 40, [3, 0, 5, 17, 60], [200], [2, 50, 1, 300, 7]])
+def test_reservoir_push_matches_the_row_loop(pattern):
+    for seed in range(10):
+        for capacity in (1, 5, 20):
+            buf, loop = ReservoirReplayBuffer(capacity), LoopReservoir(capacity)
+            rng_buf, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            start = 0
+            for size in pattern:
+                buf.push(rows(start, start + size), rng_buf)
+                loop.push(rows(start, start + size), rng_loop)
+                start += size
+                assert (len(buf), buf.seen) == (len(loop), loop.seen)
+                assert buf._rows == loop._rows
+            assert rng_buf.bit_generator.state == rng_loop.bit_generator.state
+
+
 def test_reservoir_inclusion_probability():
     # every item should be kept with probability k/N; aggregate by decile
     # so each bucket count is a fat binomial we can band at 3 sigma

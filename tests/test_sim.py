@@ -959,3 +959,20 @@ def test_non_finite_release_is_rejected(release):
     choices = {dag.id: {t.id: 0 for t in dag.tasks} for dag in workload}
     with pytest.raises(ValueError, match="releases: 1 must be finite"):
         simulate_workload(cluster, workload, choices, releases)
+
+
+def test_repeated_app_id_or_release_of_unknown_app_is_rejected():
+    # both fail before any task is committed, in every entry point
+    cluster = uniform_cluster(2)
+    workload = generate_workload(1, 3, rng=0)
+    unknown = {0: 0.5, 99: 1.0}
+    with pytest.raises(ValueError, match="release for app 99, which the workload"):
+        IncrementalSim(cluster, workload, unknown)
+    with pytest.raises(ValueError, match="release for app 99, which the workload"):
+        run_episode(cluster, workload, lambda s: 0, releases=unknown)
+    with pytest.raises(ValueError, match="app id 0 appears twice"):
+        run_episode(cluster, workload + workload, lambda s: 0)
+    choices = {0: {t.id: 0 for t in workload[0].tasks}}
+    with pytest.raises(ValueError, match="app id 0 appears twice"):
+        simulate_workload(cluster, workload + workload, choices)
+    assert _release_times(workload, {0: 0.5}) == {0: 0.5}
