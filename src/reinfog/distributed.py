@@ -3,21 +3,27 @@
 Topology and rules:
 
 * Workers run episodes locally and stream batches of transitions; the learner
-  is the only thread that touches network parameters.
-* Session threads never train. They validate ordering and content (see
-  _batch_fault) and push batches to one queue; a single trainer thread
-  consumes arrivals in queue order, so given a recorded arrival order and a
-  fixed seed the learner's parameter trajectory is reproducible bit for bit
-  (see replay_arrivals).
+  is one thread, the only one that touches network parameters.
+* That thread runs a selector over the listener, a wake-up socket for stop()
+  and the sessions. Between two updates it parses whole frames off what each
+  session has sent, checks their ordering and content (see _batch_fault) and
+  appends the batches to one FIFO; then it trains the oldest arrival. Given a
+  recorded arrival order and a fixed seed the learner's parameter trajectory
+  is reproducible bit for bit (see replay_arrivals).
 * Per batch arrival the learner performs at most ONE gradient update
   (once the buffer holds a full batch), so update counts depend only on
   the arrival sizes, not on timing or experience content.
 * Policy broadcasts go out every sync_interval updates with a strictly
-  increasing policy_version, encoded once and sent as the same bytes to
-  every session; workers swap policies in between decisions. A new
-  session's bootstrap is the frame last published, from version 0 on.
-* The trainer ends at a None end marker in its queue, put there by stop()
-  or by the last of `expected_workers` sessions to end.
+  increasing policy_version, encoded once and queued as the same bytes on
+  every session's outbox, sent as its socket takes it; workers swap policies
+  in between decisions. A new session's bootstrap is the frame last
+  published, from version 0 on. A session that leaves more than
+  OUTBOX_FRAMES frames unsent, or one for SEND_TIMEOUT_S, is dropped, so a
+  worker that stops reading cannot stall training.
+* The learner ends once its `expected_workers` have come and gone and the
+  FIFO is empty; past `max_updates` it trains nothing more and ends once the
+  sessions have closed. stop() ends it at once: each worker is sent Shutdown
+  within SEND_TIMEOUT_S, and nothing still in the FIFO is trained.
 * A session that ends other than by a clean close is kept in
   `dropped_sessions` with the worker id (or the peer address before the
   worker said hello) and the reason.
@@ -25,11 +31,13 @@ Topology and rules:
 
 from __future__ import annotations
 
-import queue
+import logging
+import selectors
 import socket
 import threading
 import time
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +51,7 @@ from .protocol import (
     PolicySync,
     ProtocolError,
     Shutdown,
+    TruncatedFrame,
     WireMessage,
     WorkerHello,
     read_frame,
@@ -61,6 +70,10 @@ ENDPOINT_ENV_VAR = "REINFOG_LEARNER_ADDR"
 RETRY_INITIAL_S = 0.1
 RETRY_CAP_S = 5.0
 RETRY_MAX_ATTEMPTS = 5
+OUTBOX_FRAMES = 16  # frames a session may leave unsent before it is dropped
+SEND_TIMEOUT_S = 2.0  # how long a session's oldest unsent frame may wait
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -77,7 +90,10 @@ def parse_endpoint(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not host:
         raise ValueError(f"endpoint must look like host:port, got {text!r}")
-    number = int(port)
+    try:
+        number = int(port)
+    except ValueError:
+        raise ValueError(f"port {port!r} in {text!r} is not an integer") from None
     if not 0 <= number <= 65535:
         raise ValueError(f"port {number} in {text!r} is not in [0, 65535]")
     return host, number
@@ -154,32 +170,23 @@ def replay_arrivals(arrivals: list[tuple[str, int, Transitions]],
     return sum(core.ingest(batch) for _, _, batch in arrivals), agent.online
 
 
+@dataclass(eq=False)
 class _Session:
-    def __init__(self, worker_id: str, sock: socket.socket) -> None:
-        self.worker_id = worker_id
-        self.last_seq = -1
-        self.sock = sock
-        self.write_lock = threading.Lock()
-
-    def send(self, msg: WireMessage) -> bool:
-        return self.send_frame(protocol.encode_frame(msg))
-
-    def send_frame(self, frame: bytes) -> bool:
-        try:
-            with self.write_lock:
-                self.sock.sendall(frame)
-            return True
-        except OSError:
-            return False
+    """A peer's socket, the bytes it sent that are not parsed yet, and the
+    frames not yet sent to it, each with the time it was queued."""
+    sock: socket.socket
+    who: str  # the peer address, then the worker id its hello names
+    worker_id: str | None = None  # set once the hello is accepted
+    last_seq: int = -1
+    inbox: bytearray = field(default_factory=bytearray)
+    outbox: deque[tuple[memoryview, float]] = field(default_factory=deque)
 
 
 class Learner:
     """Accepts worker sessions, trains on streamed experience, broadcasts policy.
 
-    The trainer ends once `max_updates` is reached, or at the end marker
-    queued when all `expected_workers` sessions have come and gone. stop()
-    forces teardown and trains nothing still queued. If the trainer thread
-    fails, the learner stops and join() re-raises the failure.
+    One thread on a selector does it all; the module docstring gives the
+    rules. If training fails, the learner stops and join() re-raises it.
     """
 
     def __init__(self, state_dim: int, n_actions: int,
@@ -193,32 +200,27 @@ class Learner:
         self.agent = DqnAgent(state_dim, n_actions, self.cfg, rng=rng)
         self._dims = (state_dim, n_actions)
         self._core = _TrainerCore(self.agent, rng)
-        self._host, self._port = host, port
-        self._max_updates = max_updates
-        self._expected_workers = expected_workers
+        self._max_updates, self._expected_workers = max_updates, expected_workers
         self._policy_frame = protocol.encode_frame(PolicySync(0, self.agent.online))
         self.received_experiences = 0
         self.arrival_log: list[tuple[str, int, Transitions]] = []
         self.dropped_sessions: list[tuple[str, str]] = []  # (worker or peer, reason)
-        self._queue: "queue.Queue" = queue.Queue()
-        self._sessions: dict[str, _Session] = {}
+        self._fifo: deque[tuple[str, int, Transitions]] = deque()
+        self._workers: dict[str, _Session] = {}  # the sessions past their hello
         self._sessions_started = 0
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._train_error: Exception | None = None
-        self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
-        self._session_threads: list[threading.Thread] = []
-
-    # -- lifecycle ---------------------------------------------------------
+        self._complete = False  # max_updates reached
+        self._stop_reason: str | None = None
+        self._error: Exception | None = None
+        self._listener = socket.create_server((host, port))
+        self.address: tuple[str, int] = self._listener.getsockname()[:2]
+        self._wake_send, self._wake_recv = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        for sock in (self._listener, self._wake_recv):
+            self._selector.register(sock, selectors.EVENT_READ)
+        self._thread = threading.Thread(target=self._run, daemon=True)
 
     def start(self) -> "Learner":
-        self._listener = socket.create_server((self._host, self._port))
-        for target in (self._train_loop, self._accept_loop):
-            t = threading.Thread(target=target, daemon=True)
-            t.start()
-            self._threads.append(t)
-        self._end_if_all_gone()
+        self._thread.start()
         return self
 
     @property
@@ -229,164 +231,176 @@ class Learner:
     def policy_version(self) -> int:
         return self.updates // self.sync.sync_interval
 
-    @property
-    def address(self) -> tuple[str, int]:
-        assert self._listener is not None, "learner not started"
-        return tuple(self._listener.getsockname()[:2])
-
     def stop(self, reason: str = "server stopped") -> None:
-        if not self._stop.is_set():
-            self._broadcast(Shutdown(reason))
-            self._halt()
-            self._queue.put(None)  # ends the trainer
-        with self._lock:
-            for session in self._sessions.values():
-                try:
-                    session.sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-
-    def _halt(self) -> None:
-        """Set the stop flag and wake the accept loop blocked in accept()."""
-        self._stop.set()
-        if self._listener is None:
-            return
+        """From any thread: send each worker Shutdown(reason) and end."""
+        self._stop_reason = self._stop_reason or reason
         try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
+            self._wake_send.send(b"\0")
+        except OSError:  # the loop has ended and closed it
             pass
 
     def join(self, timeout: float | None = None) -> bool:
-        """Wait for training, sessions and threads to end; False on timeout.
+        """Wait for the end; False on timeout. Re-raises a training failure."""
+        self._thread.join(timeout)
+        if self._error is not None and not self._thread.is_alive():
+            raise self._error
+        return not self._thread.is_alive()
 
-        Re-raises the exception that ended the trainer thread, if any.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-
-        def ended(t: threading.Thread) -> bool:
-            t.join(None if deadline is None else max(deadline - time.monotonic(), 0.0))
-            return not t.is_alive()
-
-        trainer, acceptor = self._threads
-        # the sessions are listed once the trainer has ended
-        if not (ended(trainer) and all(map(ended, list(self._session_threads)))):
-            return False
-        self._halt()
-        if not ended(acceptor):
-            return False
-        self._listener.close()
-        if self._train_error is not None:
-            raise self._train_error
-        return True
-
-    # -- threads -----------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                sock, peer = self._listener.accept()
-            except OSError:  # _halt() shut the listener down
-                break
-            t = threading.Thread(target=self._session_loop,
-                                 args=(sock, "{}:{}".format(*peer[:2])), daemon=True)
-            t.start()
-            self._session_threads.append(t)
-
-    def _session_loop(self, sock: socket.socket, peer: str) -> None:
-        who, session, reason = peer, None, None
+    def _run(self) -> None:
         try:
-            hello = read_frame(sock)
-            if isinstance(hello, WorkerHello):
-                who = hello.worker_id
-            if not isinstance(hello, WorkerHello):
-                reason = "expected worker_hello"
-            elif hello.protocol_version != PROTOCOL_VERSION:
-                reason = f"protocol version {hello.protocol_version} unsupported"
-            else:
-                with self._lock:
-                    if who not in self._sessions:
-                        session = _Session(who, sock)
-                        self._sessions[who] = session
-                        self._sessions_started += 1
-                        bootstrap = self._policy_frame
-                reason = "duplicate worker id" if session is None else None
-            if reason is not None:
-                write_frame(sock, Shutdown(reason))
-                return
-            session.send_frame(bootstrap)  # the last published policy
-            reason = self._receive_batches(session)
-            if reason is not None:
-                session.send(Shutdown(reason))
-        except (ProtocolError, OSError) as exc:
-            reason = reason or f"{type(exc).__name__}: {exc}"
-        finally:
-            if session is not None:
-                with self._lock:
-                    self._sessions.pop(session.worker_id, None)
-                self._end_if_all_gone()
-            sock.close()
-            if reason is not None:
-                with self._lock:
-                    self.dropped_sessions.append((who, reason))
+            while self._stop_reason is None and not self._finished():
+                wait = self._expire()
+                self._poll(0.0 if self._fifo else wait)
+                if self._fifo and self._stop_reason is None:
+                    self._train(self._fifo.popleft())
+        except Exception as exc:
+            self._error, self._stop_reason = exc, f"trainer failed: {exc!r}"
+        if self._stop_reason is not None:  # _expire bounds how long this takes
+            self._broadcast(Shutdown(self._stop_reason))
+            while any(s.outbox for s in self._workers.values()):
+                self._poll(self._expire())
+        for s in [k.data for k in self._selector.get_map().values() if k.data is not None]:
+            self._close(s)
+        for closable in (self._selector, self._listener, self._wake_send, self._wake_recv):
+            closable.close()
+        log.info("training ended: %d updates, %d experiences received, %d sessions dropped",
+                 self.updates, self.received_experiences, len(self.dropped_sessions))
 
-    def _receive_batches(self, session: _Session) -> str | None:
-        """Queue the session's batches until it ends; why it must be
-        dropped, or None when it closed or said shutdown."""
-        while not self._stop.is_set():
-            msg = read_frame(session.sock)
-            if msg is None or isinstance(msg, Shutdown):
-                return None
-            if not isinstance(msg, ExperienceBatch):
-                return "unexpected message type"
-            if msg.worker_id != session.worker_id:
-                return "worker id changed mid-session"
-            if msg.seq <= session.last_seq:
-                return f"out-of-order batch {msg.seq} after {session.last_seq}"
-            fault = _batch_fault(msg.experiences, *self._dims)
-            if fault is not None:
-                return f"worker {msg.worker_id} batch {msg.seq} {fault}"
-            session.last_seq = msg.seq
-            with self._lock:
-                self.received_experiences += len(msg.experiences)
-            self._queue.put((msg.worker_id, msg.seq, msg.experiences))
+    def _finished(self) -> bool:
+        expected = self._expected_workers
+        came = self._complete if expected is None else self._sessions_started >= expected
+        return came and not self._workers and not self._fifo
+
+    def _poll(self, timeout: float | None) -> None:
+        for key, events in self._selector.select(timeout):
+            if key.fileobj is self._listener:
+                sock, peer = self._listener.accept()
+                sock.setblocking(False)
+                self._selector.register(sock, selectors.EVENT_READ,
+                                        _Session(sock, "{}:{}".format(*peer[:2])))
+            elif key.data is None:
+                key.fileobj.recv(64)  # stop() woke the loop
+            else:
+                if events & selectors.EVENT_WRITE:
+                    self._send(key.data)
+                if events & selectors.EVENT_READ:
+                    self._read(key.data)
+
+    def _read(self, s: _Session) -> None:
+        buf, used = s.inbox, 0
+        try:
+            data = s.sock.recv(1 << 16)
+            if not data and buf:
+                return self._close(s, f"TruncatedFrame: connection closed {len(buf)} "
+                                      "bytes into a frame")
+            if not data:
+                return self._close(s, None if s.worker_id is not None
+                                   else "expected worker_hello")
+            buf += data
+            while True:
+                msg, size = protocol.decode_frame(memoryview(buf)[used:])
+                used += size
+                if s.worker_id is not None and isinstance(msg, Shutdown):
+                    return self._close(s)
+                why = self._take(s, msg)
+                if why is not None:
+                    return self._close(s, why, tell=True)
+        except TruncatedFrame:
+            if used:  # the batches taken are views of buf, so buf is never resized
+                s.inbox = buf[used:]
+        except (ProtocolError, OSError) as exc:
+            self._close(s, f"{type(exc).__name__}: {exc}")
+
+    def _take(self, s: _Session, msg: WireMessage) -> str | None:
+        """Act on one message from `s`; why `s` must be dropped, if it must."""
+        if s.worker_id is None:
+            if not isinstance(msg, WorkerHello):
+                return "expected worker_hello"
+            peer, s.who = s.who, msg.worker_id
+            if msg.protocol_version != PROTOCOL_VERSION:
+                return f"protocol version {msg.protocol_version} unsupported"
+            if s.who in self._workers:
+                return "duplicate worker id"
+            s.worker_id, self._workers[s.who] = s.who, s
+            self._sessions_started += 1
+            log.info("session of worker %s from %s", s.who, peer)
+            self._send(s, self._policy_frame)  # the last published policy
+            return None
+        if not isinstance(msg, ExperienceBatch):
+            return "unexpected message type"
+        if msg.worker_id != s.worker_id:
+            return "worker id changed mid-session"
+        if msg.seq <= s.last_seq:
+            return f"out-of-order batch {msg.seq} after {s.last_seq}"
+        fault = _batch_fault(msg.experiences, *self._dims)
+        if fault is not None:
+            return f"worker {msg.worker_id} batch {msg.seq} {fault}"
+        s.last_seq = msg.seq
+        self.received_experiences += len(msg.experiences)
+        if not self._complete:
+            self._fifo.append((msg.worker_id, msg.seq, msg.experiences))
         return None
 
-    def _end_if_all_gone(self) -> None:
-        """Queue the trainer's end marker once every expected worker has come
-        and gone: FIFO puts it behind the last batch of the session ending."""
-        with self._lock:
-            if self._expected_workers is not None and not self._sessions \
-                    and self._sessions_started >= self._expected_workers:
-                self._queue.put(None)
-
-    def _train_loop(self) -> None:
-        try:
-            for arrival in iter(self._queue.get, None):
-                if self._stop.is_set():
-                    break
-                self.arrival_log.append(arrival)
-                if not self._core.ingest(arrival[2]):
-                    continue
-                if self.updates % self.sync.sync_interval == 0:
-                    self._broadcast(PolicySync(self.policy_version, self.agent.online))
-                if self._max_updates is not None \
-                        and self.updates >= self._max_updates:
-                    self._broadcast(Shutdown("training complete"))
-                    break
-        except Exception as exc:
-            self._train_error = exc
-            self.stop(f"trainer failed: {exc!r}")
+    def _train(self, arrival: tuple[str, int, Transitions]) -> None:
+        self.arrival_log.append(arrival)
+        if not self._core.ingest(arrival[2]):
+            return
+        if self.updates % self.sync.sync_interval == 0:
+            self._broadcast(PolicySync(self.policy_version, self.agent.online))
+        if self._max_updates is not None and self.updates >= self._max_updates:
+            self._broadcast(Shutdown("training complete"))
+            self._complete = True
+            self._fifo.clear()
 
     def _broadcast(self, msg: WireMessage) -> None:
-        """Encode `msg` once and send the same bytes to every session; a
-        PolicySync frame is also kept to bootstrap later sessions."""
+        """Queue `msg`, encoded once, for every worker; keep a PolicySync's frame."""
         frame = protocol.encode_frame(msg)
-        with self._lock:
-            if isinstance(msg, PolicySync):
-                self._policy_frame = frame
-            sessions = list(self._sessions.values())
-        for session in sessions:
-            session.send_frame(frame)
+        if isinstance(msg, PolicySync):
+            self._policy_frame = frame
+        for s in self._workers.values():
+            self._send(s, frame)
+
+    def _send(self, s: _Session, frame: bytes | None = None) -> None:
+        """Queue `frame`, if given, and send what the socket takes now."""
+        if frame is not None:
+            s.outbox.append((memoryview(frame), time.monotonic()))
+        try:
+            while s.outbox:
+                head, queued = s.outbox[0]
+                sent = s.sock.send(head)
+                if sent < len(head):
+                    s.outbox[0] = (head[sent:], queued)
+                    break
+                s.outbox.popleft()
+        except BlockingIOError:
+            pass
+        except OSError:  # the peer is gone; reading its socket ends the session
+            s.outbox.clear()
+        self._selector.modify(s.sock, selectors.EVENT_READ
+                              | (selectors.EVENT_WRITE if s.outbox else 0), s)
+
+    def _expire(self) -> float | None:
+        """Drop the sessions past an outbox bound; the seconds to the next deadline."""
+        now = time.monotonic()
+        for s in [s for s in self._workers.values() if s.outbox]:
+            if len(s.outbox) > OUTBOX_FRAMES or now - s.outbox[0][1] >= SEND_TIMEOUT_S:
+                self._close(s, f"{len(s.outbox)} frames unsent, the oldest for "
+                               f"{now - s.outbox[0][1]:.2f} s: past the outbox bound of "
+                               f"{OUTBOX_FRAMES} or the send timeout of {SEND_TIMEOUT_S} s")
+        return min((s.outbox[0][1] + SEND_TIMEOUT_S - now
+                    for s in self._workers.values() if s.outbox), default=None)
+
+    def _close(self, s: _Session, why: str | None = None, tell: bool = False) -> None:
+        """Close `s`, dropped for `why` if given; with `tell`, after Shutdown(why)."""
+        if why is not None:
+            self.dropped_sessions.append((s.who, why))
+            log.warning("dropped session of %s: %s", s.who, why)
+        if tell:
+            self._send(s, protocol.encode_frame(Shutdown(why)))
+        self._selector.unregister(s.sock)
+        s.sock.close()
+        if s.worker_id is not None:
+            del self._workers[s.worker_id]
 
 
 def _connect_with_retry(endpoint: tuple[str, int]) -> socket.socket:

@@ -163,6 +163,13 @@ def test_listen_port_out_of_range_exits_1(tmp_path, capsys):
     assert "port 99999" in capsys.readouterr().err
 
 
+def test_listen_port_not_an_integer_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", FAST_TRAIN)
+    assert run_cli(["train-dist", "--config", cfg, "--listen", "h:abc",
+                    "--out", str(tmp_path)]) == 1
+    assert "port 'abc' in 'h:abc' is not an integer" in capsys.readouterr().err
+
+
 def test_seed_must_be_u64(tmp_path):
     assert run_cli(["place", "--seed", "-1", "--out", str(tmp_path)]) == 1
     assert run_cli(["place", "--seed", str(2 ** 64), "--out", str(tmp_path)]) == 1

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import logging
+import re
 import socket
 import struct
 import threading
@@ -82,6 +84,10 @@ def test_parse_endpoint():
     for port in ("65536", "99999", "-1"):
         with pytest.raises(ValueError, match=f"port {port} in '127.0.0.1:{port}'"):
             parse_endpoint(f"127.0.0.1:{port}")
+    for text, port in (("h:", ""), ("h:abc", "abc"), ("h:8.0", "8.0")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"port {port!r} in {text!r} is not an integer")):
+            parse_endpoint(text)
 
 
 def test_zero_workers_learner_stays_idle():
@@ -340,6 +346,108 @@ def test_stop_trains_nothing_still_queued():
     assert learner.updates == taken  # each batch taken in was trained on, no other
     time.sleep(0.1)
     assert learner.updates == taken and len(learner.arrival_log) == taken
+
+
+def test_a_peer_that_never_says_hello_holds_nothing_up():
+    # a peer that connects and sends nothing is not a worker: the learner
+    # ends without it once its one expected worker has come and gone, and
+    # stop() ends a learner it is connected to
+    learner = small_learner(expected_workers=1)
+    silent = socket.create_connection(learner.address, timeout=10.0)
+    try:
+        run_worker(learner.address, "w0", episodes=2)
+        assert learner.join(timeout=5.0)
+        assert silent.recv(1) == b""  # closed by the learner at its end
+    finally:
+        silent.close()
+    idle = small_learner()
+    silent = socket.create_connection(idle.address, timeout=10.0)
+    try:
+        idle.stop()
+        assert idle.join(timeout=5.0)
+    finally:
+        silent.close()
+
+
+def test_a_worker_that_stops_reading_is_dropped_and_training_goes_on():
+    # a policy frame of about 2 MB goes out at every update, so a worker that
+    # never reads fills its socket buffers within a few updates; its outbox
+    # then passes the bound, it is dropped, and every arrival of the worker
+    # that reads is still trained
+    cfg = DqnConfig(hidden_sizes=(512, 512), batch_size=2, buffer_capacity=256)
+    learner = small_learner(cfg=cfg, sync=SyncConfig(sync_interval=1, batch_flush=2))
+    mute, healthy = (socket.create_connection(learner.address, timeout=10.0)
+                     for _ in range(2))
+    versions: list[int] = []
+
+    def read_policies() -> None:
+        while isinstance(msg := read_frame(healthy), PolicySync):
+            versions.append(msg.policy_version)
+
+    reader = threading.Thread(target=read_policies, daemon=True)
+    try:
+        write_frame(mute, WorkerHello("mute"))
+        for seq in (1, 2):
+            write_frame(mute, exp_batch("mute", seq))
+        write_frame(healthy, WorkerHello("healthy"))
+        reader.start()
+        for seq in range(1, 41):
+            write_frame(healthy, exp_batch("healthy", seq))
+        deadline = time.monotonic() + 20.0
+        while learner.updates < 42 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert learner.updates == 42  # one update an arrival, 2 + 40 arrivals
+        [(who, why)] = learner.dropped_sessions
+        assert who == "mute" and "past the outbox bound of 16 or" in why
+        learner.stop()
+        assert learner.join(timeout=5.0)
+        reader.join(timeout=5.0)
+        assert not reader.is_alive()
+    finally:
+        mute.close()
+        healthy.close()
+        learner.stop()
+    assert versions[-1] == 42
+
+
+def test_start_adds_one_thread_however_many_sessions():
+    before = set(threading.enumerate())
+    learner = small_learner()
+    socks = [socket.create_connection(learner.address, timeout=10.0) for _ in range(3)]
+    try:
+        for i, sock in enumerate(socks):
+            write_frame(sock, WorkerHello(f"w{i}"))
+            assert isinstance(read_frame(sock), PolicySync)
+        assert len(set(threading.enumerate()) - before) == 1
+    finally:
+        for sock in socks:
+            sock.close()
+        learner.stop()
+    assert learner.join(timeout=5.0)
+    assert not set(threading.enumerate()) - before
+
+
+def test_the_learner_logs_sessions_drops_and_its_end(caplog):
+    caplog.set_level(logging.INFO, logger="reinfog.distributed")
+    learner = small_learner(expected_workers=1)
+    sock = socket.create_connection(learner.address, timeout=10.0)
+    peer = "{}:{}".format(*sock.getsockname()[:2])
+    try:
+        write_frame(sock, WorkerHello("w0"))
+        assert isinstance(read_frame(sock), PolicySync)
+        write_frame(sock, exp_batch("w0", 5))
+        write_frame(sock, exp_batch("w0", 5))
+        while not isinstance(read_frame(sock), Shutdown):
+            pass
+    finally:
+        sock.close()
+    assert learner.join(timeout=10.0)
+    logged = [(r.levelname, r.getMessage()) for r in caplog.records
+              if r.name == "reinfog.distributed"]
+    assert logged == [
+        ("INFO", f"session of worker w0 from {peer}"),
+        ("WARNING", "dropped session of w0: out-of-order batch 5 after 5"),
+        ("INFO", "training ended: 0 updates, 2 experiences received, 1 sessions dropped")]
 
 
 def test_idle_learner_stops_promptly():
