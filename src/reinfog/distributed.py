@@ -5,11 +5,13 @@ Topology and rules:
 * Workers run episodes locally and stream batches of transitions; the learner
   is one thread, the only one that touches network parameters.
 * That thread runs a selector over the listener, a wake-up socket for stop()
-  and the sessions. Between two updates it parses whole frames off what each
-  session has sent, checks their ordering and content (see _batch_fault) and
-  appends the batches to one FIFO; then it trains the oldest arrival. Given a
-  recorded arrival order and a fixed seed the learner's parameter trajectory
-  is reproducible bit for bit (see replay_arrivals).
+  and the sessions. It parses whole frames off what each session has sent,
+  checks their ordering and content (see _batch_fault), appends the batches
+  to one FIFO and trains it oldest first. It serves the sockets only when
+  the FIFO is empty or a frame waits to be sent, because each select() or
+  recv() lets the worker threads of the same process take the interpreter
+  lock. Given a recorded arrival order and a fixed seed the learner's
+  parameter trajectory is reproducible bit for bit (see replay_arrivals).
 * Per batch arrival the learner performs at most ONE gradient update
   (once the buffer holds a full batch), so update counts depend only on
   the arrival sizes, not on timing or experience content.
@@ -19,14 +21,17 @@ Topology and rules:
   in between decisions. A new session's bootstrap is the frame last
   published, from version 0 on. A session that leaves more than
   OUTBOX_FRAMES frames unsent, or one for SEND_TIMEOUT_S, is dropped, so a
-  worker that stops reading cannot stall training.
+  worker that stops reading cannot stall training. A worker dropped for
+  what it sent is read no more and is told why in a Shutdown sent after the
+  frames queued before it.
 * The learner ends once its `expected_workers` have come and gone and the
   FIFO is empty; past `max_updates` it trains nothing more and ends once the
   sessions have closed. stop() ends it at once: each worker is sent Shutdown
   within SEND_TIMEOUT_S, and nothing still in the FIFO is trained.
 * A session that ends other than by a clean close is kept in
   `dropped_sessions` with the worker id (or the peer address before the
-  worker said hello) and the reason.
+  worker said hello) and the reason. If accept() fails (out of file
+  descriptors, say), the learner takes no new sessions and keeps the others.
 """
 
 from __future__ import annotations
@@ -173,11 +178,12 @@ def replay_arrivals(arrivals: list[tuple[str, int, Transitions]],
 @dataclass(eq=False)
 class _Session:
     """A peer's socket, the bytes it sent that are not parsed yet, and the
-    frames not yet sent to it, each with the time it was queued."""
+    frames not yet sent to it, each with the time it was queued. A session
+    that is `closing` is read no more and is closed once its outbox is sent."""
     sock: socket.socket
     who: str  # the peer address, then the worker id its hello names
-    worker_id: str | None = None  # set once the hello is accepted
     last_seq: int = -1
+    closing: bool = False
     inbox: bytearray = field(default_factory=bytearray)
     outbox: deque[tuple[memoryview, float]] = field(default_factory=deque)
 
@@ -247,34 +253,54 @@ class Learner:
         return not self._thread.is_alive()
 
     def _run(self) -> None:
+        """Train until the end or stop(), serving the sockets only when the FIFO
+        is empty or a frame waits to be sent: each select() or recv() hands the
+        interpreter lock to the worker threads of the same process."""
         try:
-            while self._stop_reason is None and not self._finished():
-                wait = self._expire()
-                self._poll(0.0 if self._fifo else wait)
-                if self._fifo and self._stop_reason is None:
-                    self._train(self._fifo.popleft())
-        except Exception as exc:
-            self._error, self._stop_reason = exc, f"trainer failed: {exc!r}"
-        if self._stop_reason is not None:  # _expire bounds how long this takes
-            self._broadcast(Shutdown(self._stop_reason))
-            while any(s.outbox for s in self._workers.values()):
-                self._poll(self._expire())
-        for s in [k.data for k in self._selector.get_map().values() if k.data is not None]:
-            self._close(s)
-        for closable in (self._selector, self._listener, self._wake_send, self._wake_recv):
-            closable.close()
-        log.info("training ended: %d updates, %d experiences received, %d sessions dropped",
-                 self.updates, self.received_experiences, len(self.dropped_sessions))
+            try:
+                wait = None  # no frame waits yet
+                while self._stop_reason is None and not self._finished():
+                    if not self._fifo or wait is not None:
+                        self._poll(0.0 if self._fifo else wait)
+                    if self._fifo and self._stop_reason is None:
+                        self._train(self._fifo.popleft())
+                    wait = self._expire()
+            except Exception as exc:
+                self._error, self._stop_reason = exc, f"trainer failed: {exc!r}"
+            if self._stop_reason is not None:
+                self._broadcast(Shutdown(self._stop_reason))
+            while (wait := self._expire()) is not None:  # within SEND_TIMEOUT_S
+                self._poll(wait)
+        except Exception as exc:  # while sending the last frames
+            self._error = self._error or exc
+        finally:
+            for s in self._sessions():
+                self._close(s)
+            for closable in (self._selector, self._listener, self._wake_send, self._wake_recv):
+                closable.close()
+            log.info("training ended: %d updates, %d experiences received, %d sessions dropped",
+                     self.updates, self.received_experiences, len(self.dropped_sessions))
 
     def _finished(self) -> bool:
         expected = self._expected_workers
         came = self._complete if expected is None else self._sessions_started >= expected
         return came and not self._workers and not self._fifo
 
+    def _sessions(self) -> list[_Session]:
+        return [k.data for k in self._selector.get_map().values() if k.data is not None]
+
+    def _said_hello(self, s: _Session) -> bool:
+        return self._workers.get(s.who) is s
+
     def _poll(self, timeout: float | None) -> None:
         for key, events in self._selector.select(timeout):
             if key.fileobj is self._listener:
-                sock, peer = self._listener.accept()
+                try:
+                    sock, peer = self._listener.accept()
+                except OSError as exc:  # e.g. out of descriptors: keep the sessions there are
+                    self._selector.unregister(self._listener)
+                    log.warning("accepting no more sessions: %s", exc)
+                    continue
                 sock.setblocking(False)
                 self._selector.register(sock, selectors.EVENT_READ,
                                         _Session(sock, "{}:{}".format(*peer[:2])))
@@ -294,13 +320,12 @@ class Learner:
                 return self._close(s, f"TruncatedFrame: connection closed {len(buf)} "
                                       "bytes into a frame")
             if not data:
-                return self._close(s, None if s.worker_id is not None
-                                   else "expected worker_hello")
+                return self._close(s, None if self._said_hello(s) else "expected worker_hello")
             buf += data
             while True:
                 msg, size = protocol.decode_frame(memoryview(buf)[used:])
                 used += size
-                if s.worker_id is not None and isinstance(msg, Shutdown):
+                if isinstance(msg, Shutdown) and self._said_hello(s):
                     return self._close(s)
                 why = self._take(s, msg)
                 if why is not None:
@@ -313,7 +338,7 @@ class Learner:
 
     def _take(self, s: _Session, msg: WireMessage) -> str | None:
         """Act on one message from `s`; why `s` must be dropped, if it must."""
-        if s.worker_id is None:
+        if not self._said_hello(s):
             if not isinstance(msg, WorkerHello):
                 return "expected worker_hello"
             peer, s.who = s.who, msg.worker_id
@@ -321,14 +346,14 @@ class Learner:
                 return f"protocol version {msg.protocol_version} unsupported"
             if s.who in self._workers:
                 return "duplicate worker id"
-            s.worker_id, self._workers[s.who] = s.who, s
+            self._workers[s.who] = s
             self._sessions_started += 1
             log.info("session of worker %s from %s", s.who, peer)
             self._send(s, self._policy_frame)  # the last published policy
             return None
         if not isinstance(msg, ExperienceBatch):
             return "unexpected message type"
-        if msg.worker_id != s.worker_id:
+        if msg.worker_id != s.who:
             return "worker id changed mid-session"
         if msg.seq <= s.last_seq:
             return f"out-of-order batch {msg.seq} after {s.last_seq}"
@@ -376,31 +401,37 @@ class Learner:
             pass
         except OSError:  # the peer is gone; reading its socket ends the session
             s.outbox.clear()
-        self._selector.modify(s.sock, selectors.EVENT_READ
+        if s.closing and not s.outbox:
+            return self._close(s)
+        self._selector.modify(s.sock, (0 if s.closing else selectors.EVENT_READ)
                               | (selectors.EVENT_WRITE if s.outbox else 0), s)
 
     def _expire(self) -> float | None:
         """Drop the sessions past an outbox bound; the seconds to the next deadline."""
-        now = time.monotonic()
-        for s in [s for s in self._workers.values() if s.outbox]:
-            if len(s.outbox) > OUTBOX_FRAMES or now - s.outbox[0][1] >= SEND_TIMEOUT_S:
-                self._close(s, f"{len(s.outbox)} frames unsent, the oldest for "
-                               f"{now - s.outbox[0][1]:.2f} s: past the outbox bound of "
-                               f"{OUTBOX_FRAMES} or the send timeout of {SEND_TIMEOUT_S} s")
-        return min((s.outbox[0][1] + SEND_TIMEOUT_S - now
-                    for s in self._workers.values() if s.outbox), default=None)
+        now, waits = time.monotonic(), []
+        for s in [s for s in self._sessions() if s.outbox]:
+            age = now - s.outbox[0][1]
+            if len(s.outbox) <= OUTBOX_FRAMES and age < SEND_TIMEOUT_S:
+                waits.append(SEND_TIMEOUT_S - age)
+            else:  # a closing session's drop is already recorded
+                self._close(s, None if s.closing else
+                            f"{len(s.outbox)} frames unsent, the oldest for {age:.2f} s: "
+                            f"past the outbox bound of {OUTBOX_FRAMES} or the send "
+                            f"timeout of {SEND_TIMEOUT_S} s")
+        return min(waits, default=None)
 
     def _close(self, s: _Session, why: str | None = None, tell: bool = False) -> None:
-        """Close `s`, dropped for `why` if given; with `tell`, after Shutdown(why)."""
+        """Close `s`, dropped for `why` if given; with `tell`, once Shutdown(why) is sent."""
         if why is not None:
             self.dropped_sessions.append((s.who, why))
             log.warning("dropped session of %s: %s", s.who, why)
+        if self._said_hello(s):
+            del self._workers[s.who]
         if tell:
-            self._send(s, protocol.encode_frame(Shutdown(why)))
+            s.closing = True
+            return self._send(s, protocol.encode_frame(Shutdown(why)))
         self._selector.unregister(s.sock)
         s.sock.close()
-        if s.worker_id is not None:
-            del self._workers[s.worker_id]
 
 
 def _connect_with_retry(endpoint: tuple[str, int]) -> socket.socket:

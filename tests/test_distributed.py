@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import logging
@@ -21,7 +22,7 @@ from reinfog.distributed import (
     worker_loop,
     _connect_with_retry,
 )
-from reinfog import dqn, protocol
+from reinfog import distributed, dqn, protocol
 from reinfog.dqn import DqnAgent, DqnConfig
 from reinfog.explore import eps_greedy
 from reinfog.model import Node
@@ -408,6 +409,103 @@ def test_a_worker_that_stops_reading_is_dropped_and_training_goes_on():
         healthy.close()
         learner.stop()
     assert versions[-1] == 42
+
+
+# a policy frame of this network is about 2 MB; with a broadcast at every
+# update, a peer that does not read leaves frames unsent after two updates
+BIG_CFG = DqnConfig(hidden_sizes=(512, 512), batch_size=2, buffer_capacity=256)
+EVERY_UPDATE = SyncConfig(sync_interval=1, batch_flush=2)
+
+
+def mute_peer(learner: Learner, wid: str, batches: int) -> socket.socket:
+    """A worker `wid`, with a small receive buffer, that says hello and sends
+    `batches` batches, and reads nothing until the learner has trained them."""
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.settimeout(10.0)
+    sock.connect(learner.address)
+    write_frame(sock, WorkerHello(wid))
+    for seq in range(1, batches + 1):
+        write_frame(sock, exp_batch(wid, seq))
+    deadline = time.monotonic() + 10.0
+    while learner.updates < batches and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert learner.updates == batches
+    return sock
+
+
+def test_a_lone_worker_that_stops_reading_does_not_hold_up_stop():
+    # stop() queues Shutdown behind the unsent policy frames, under the
+    # outbox bound; the session is dropped at the send timeout and the
+    # learner then ends
+    learner = small_learner(cfg=BIG_CFG, sync=EVERY_UPDATE)
+    mute = mute_peer(learner, "mute", 3)
+    try:
+        learner.stop()
+        assert learner.join(timeout=distributed.SEND_TIMEOUT_S + 3)
+    finally:
+        mute.close()
+    [(who, why)] = learner.dropped_sessions
+    assert who == "mute" and "frames unsent" in why
+
+
+def test_a_lone_worker_that_stops_reading_is_dropped_and_the_learner_ends():
+    # every arrival is trained before the send timeout drops the session
+    learner = small_learner(cfg=BIG_CFG, sync=EVERY_UPDATE, expected_workers=1)
+    mute = mute_peer(learner, "mute", 3)
+    try:
+        assert learner.join(timeout=distributed.SEND_TIMEOUT_S + 3)  # no stop()
+    finally:
+        mute.close()
+    [(who, why)] = learner.dropped_sessions
+    assert who == "mute" and "past the outbox bound of 16 or" in why
+    assert learner.updates == len(learner.arrival_log) == 3
+
+
+def test_a_rejected_worker_gets_its_reason_behind_the_unsent_policy_frames():
+    learner = small_learner(cfg=BIG_CFG, sync=EVERY_UPDATE, expected_workers=1)
+    sock = mute_peer(learner, "w0", 3)
+    try:
+        write_frame(sock, exp_batch("w0", 3))
+        deadline = time.monotonic() + 10.0
+        while not learner.dropped_sessions and time.monotonic() < deadline:
+            time.sleep(0.01)
+        versions = []
+        while isinstance(msg := read_frame(sock), PolicySync):  # whole, not cut short
+            versions.append(msg.policy_version)
+        assert versions == [0, 1, 2, 3]
+        assert isinstance(msg, Shutdown) and msg.reason == "out-of-order batch 3 after 3"
+        assert read_frame(sock) is None
+    finally:
+        sock.close()
+    assert learner.join(timeout=5.0)
+    assert learner.dropped_sessions == [("w0", msg.reason)]
+
+
+def test_a_failed_accept_stops_new_sessions_not_training(monkeypatch, caplog):
+    learner = small_learner(expected_workers=1)
+    sock = socket.create_connection(learner.address, timeout=10.0)
+    late = None
+    try:
+        write_frame(sock, WorkerHello("w0"))
+        assert isinstance(read_frame(sock), PolicySync)
+
+        def out_of_descriptors(self):
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(socket.socket, "accept", out_of_descriptors)
+        late = socket.create_connection(learner.address, timeout=10.0)
+        write_frame(sock, exp_batch("w0", 1))
+        sock.shutdown(socket.SHUT_WR)
+        assert read_frame(sock) is None
+        assert learner.join(timeout=10.0)  # and raises nothing
+    finally:
+        sock.close()
+        if late is not None:
+            late.close()
+    assert learner.received_experiences == 2 and learner.dropped_sessions == []
+    assert any(r.getMessage() == "accepting no more sessions: [Errno 24] Too many open files"
+               for r in caplog.records)
 
 
 def test_start_adds_one_thread_however_many_sessions():
