@@ -17,13 +17,18 @@ Topology and rules:
   the arrival sizes, not on timing or experience content.
 * Policy broadcasts go out every sync_interval updates with a strictly
   increasing policy_version, encoded once and queued as the same bytes on
-  every session's outbox, sent as its socket takes it; workers swap policies
-  in between decisions. A new session's bootstrap is the frame last
-  published, from version 0 on. A session that leaves more than
-  OUTBOX_FRAMES frames unsent, or one for SEND_TIMEOUT_S, is dropped, so a
-  worker that stops reading cannot stall training. A worker dropped for
-  what it sent is read no more and is told why in a Shutdown sent after the
-  frames queued before it.
+  every session's outbox, sent as its socket takes it. A new session's
+  bootstrap is the frame last published, from version 0 on. A session that
+  leaves more than OUTBOX_FRAMES frames unsent, or one for SEND_TIMEOUT_S,
+  is dropped, so a worker that stops reading cannot stall training. A worker
+  dropped for what it sent is read no more and is told why in a Shutdown
+  sent after the frames queued before it.
+* A worker is one thread, the caller's. Its socket blocks on sends; it is
+  read without blocking before each episode and at a decision once
+  READ_INTERVAL_S has passed since the last read, and the newest PolicySync
+  received goes into force before the next decision. A Shutdown, the
+  learner's close or a bad frame ends the worker before its next episode;
+  the report keeps the Shutdown's reason, or the bad frame's.
 * The learner ends once its `expected_workers` have come and gone and the
   FIFO is empty; past `max_updates` it trains nothing more and ends once the
   sessions have closed. stop() ends it at once: each worker is sent Shutdown
@@ -56,10 +61,8 @@ from .protocol import (
     PolicySync,
     ProtocolError,
     Shutdown,
-    TruncatedFrame,
     WireMessage,
     WorkerHello,
-    read_frame,
     write_frame,
 )
 from .replay import RandomReplayBuffer, Transitions
@@ -77,6 +80,7 @@ RETRY_CAP_S = 5.0
 RETRY_MAX_ATTEMPTS = 5
 OUTBOX_FRAMES = 16  # frames a session may leave unsent before it is dropped
 SEND_TIMEOUT_S = 2.0  # how long a session's oldest unsent frame may wait
+READ_INTERVAL_S = 0.001  # least time between a worker's reads at its decisions
 
 log = logging.getLogger(__name__)
 
@@ -184,7 +188,7 @@ class _Session:
     who: str  # the peer address, then the worker id its hello names
     last_seq: int = -1
     closing: bool = False
-    inbox: bytearray = field(default_factory=bytearray)
+    inbox: protocol.Inbox = field(default_factory=protocol.Inbox)
     outbox: deque[tuple[memoryview, float]] = field(default_factory=deque)
 
 
@@ -313,26 +317,15 @@ class Learner:
                     self._read(key.data)
 
     def _read(self, s: _Session) -> None:
-        buf, used = s.inbox, 0
         try:
-            data = s.sock.recv(1 << 16)
-            if not data and buf:
-                return self._close(s, f"TruncatedFrame: connection closed {len(buf)} "
-                                      "bytes into a frame")
-            if not data:
-                return self._close(s, None if self._said_hello(s) else "expected worker_hello")
-            buf += data
-            while True:
-                msg, size = protocol.decode_frame(memoryview(buf)[used:])
-                used += size
+            for msg in s.inbox.read(s.sock):
+                if msg is None:
+                    return self._close(s, None if self._said_hello(s) else "expected worker_hello")
                 if isinstance(msg, Shutdown) and self._said_hello(s):
                     return self._close(s)
                 why = self._take(s, msg)
                 if why is not None:
                     return self._close(s, why, tell=True)
-        except TruncatedFrame:
-            if used:  # the batches taken are views of buf, so buf is never resized
-                s.inbox = buf[used:]
         except (ProtocolError, OSError) as exc:
             self._close(s, f"{type(exc).__name__}: {exc}")
 
@@ -437,37 +430,17 @@ class Learner:
 def _connect_with_retry(endpoint: tuple[str, int]) -> socket.socket:
     delay = RETRY_INITIAL_S
     last: Exception | None = None
-    for _ in range(RETRY_MAX_ATTEMPTS):
+    for attempt in range(1, RETRY_MAX_ATTEMPTS + 1):
         try:
             return socket.create_connection(endpoint)
         except OSError as exc:
             last = exc
-            time.sleep(delay)
-            delay = min(delay * 2, RETRY_CAP_S)
+            if attempt < RETRY_MAX_ATTEMPTS:
+                time.sleep(delay)
+                delay = min(delay * 2, RETRY_CAP_S)
     raise ConnectionError(
         f"could not reach learner at {endpoint[0]}:{endpoint[1]} "
         f"after {RETRY_MAX_ATTEMPTS} attempts") from last
-
-
-class _PolicyMailbox:
-    """Latest policy snapshot, swapped in between decision steps."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._latest: tuple[int, NetworkParams] | None = None
-        self.versions_seen: list[int] = []
-
-    def offer(self, version: int, params: NetworkParams) -> None:
-        with self._lock:
-            self.versions_seen.append(version)
-            if self._latest is None or version >= self._latest[0]:
-                self._latest = (version, params)
-
-    def take(self, newer_than: int) -> tuple[int, NetworkParams] | None:
-        with self._lock:
-            if self._latest is not None and self._latest[0] > newer_than:
-                return self._latest
-        return None
 
 
 @dataclass(frozen=True)
@@ -491,47 +464,59 @@ def worker_loop(endpoint: tuple[str, int], worker_id: str,
                 releases=None, rng: np.random.Generator | int | None = None) -> WorkerReport:
     """Collect episodes and stream them to the learner until done or told to stop.
 
-    Acting is epsilon-greedy on the latest synced policy; policy swaps happen
-    only between decisions.
+    Acting is epsilon-greedy on the newest policy received, on the caller's
+    thread; the module docstring gives the rules. Once it has sent everything
+    it waits up to 10 s for the learner to close the session or send Shutdown.
     """
     sync = sync or SyncConfig()
     spec = reward_spec or make_reward_spec(cluster, workload, releases=releases)
     agent = DqnAgent(sim.state_dim(cluster.n), cluster.n, dqn_cfg, rng=rng)
-    mailbox = _PolicyMailbox()
-    stop = threading.Event()
-    shutdown_reason: list[str | None] = [None]
-
     sock = _connect_with_retry(endpoint)
-
-    def receive() -> None:
-        try:
-            while True:
-                msg = read_frame(sock)
-                if msg is None:
-                    break
-                if isinstance(msg, PolicySync):
-                    mailbox.offer(msg.policy_version, msg.policy)
-                elif isinstance(msg, Shutdown):
-                    shutdown_reason[0] = msg.reason
-                    stop.set()
-                    break
-        except (ProtocolError, OSError):
-            stop.set()
-
-    receiver = threading.Thread(target=receive, daemon=True)
+    inbox = protocol.Inbox()
+    newest: PolicySync | None = None  # received, not yet in force
     current_version = -1
+    versions_seen: list[int] = []
     decision_log: list[int] = []
+    ended, shutdown_reason = False, None
+    last_read = time.monotonic()
     pending: list[Transitions] = []
     seq = experiences_sent = 0  # seq also counts the batches sent
     rewards: list[float] = []  # one per episode run
     wcs: list[float] = []
 
+    def receive(until: float = 0.0) -> None:
+        """Act on every frame received; wait for more up to the monotonic time
+        `until`, or until the learner ends the session."""
+        nonlocal newest, ended, shutdown_reason, last_read
+        last_read = time.monotonic()
+        try:
+            while not ended:
+                sock.settimeout(max(until - time.monotonic(), 0.0))  # 0: do not block
+                for msg in inbox.read(sock):
+                    if isinstance(msg, PolicySync):
+                        versions_seen.append(msg.policy_version)
+                        newest = msg
+                    elif isinstance(msg, Shutdown):
+                        ended, shutdown_reason = True, msg.reason
+                        break
+                    elif msg is None:  # the learner closed the session
+                        ended = True
+        except (BlockingIOError, TimeoutError):
+            pass  # nothing more has arrived
+        except (ProtocolError, OSError) as exc:
+            ended, shutdown_reason = True, f"{type(exc).__name__}: {exc}"
+            log.warning("worker %s stopped: %s", worker_id, shutdown_reason)
+        finally:
+            sock.settimeout(None)  # write_frame's sendall blocks
+
     def policy_step(state: np.ndarray) -> int:
-        nonlocal current_version
-        newer = mailbox.take(current_version)
-        if newer is not None:
-            current_version = newer[0]
-            agent.set_online(newer[1])
+        nonlocal newest, current_version
+        if time.monotonic() - last_read >= READ_INTERVAL_S:
+            receive()
+        if newest is not None:
+            current_version = newest.policy_version
+            agent.set_online(newest.policy)
+            newest = None
         decision_log.append(current_version)
         return agent.act(state)
 
@@ -544,9 +529,9 @@ def worker_loop(endpoint: tuple[str, int], worker_id: str,
 
     try:
         write_frame(sock, WorkerHello(worker_id))
-        receiver.start()
         for _ in range(episodes):
-            if stop.is_set():
+            receive()
+            if ended:
                 break
             result = run_episode(cluster, workload, policy_step, spec, releases)
             rewards.append(fold_sum(result.rewards))
@@ -558,15 +543,13 @@ def worker_loop(endpoint: tuple[str, int], worker_id: str,
             sock.shutdown(socket.SHUT_WR)
         except OSError:
             pass
-        receiver.join(timeout=10.0)
+        receive(until=time.monotonic() + 10.0)
     except OSError as exc:
-        if shutdown_reason[0] is None:
-            shutdown_reason[0] = f"connection lost: {exc}"
+        receive()  # a Shutdown sent before the learner closed says why
+        if shutdown_reason is None:
+            shutdown_reason = f"connection lost: {exc}"
     finally:
-        stop.set()
         sock.close()
-        if receiver.is_alive():
-            receiver.join(timeout=1.0)
 
     return WorkerReport(worker_id=worker_id, episodes_run=len(rewards),
                         batches_sent=seq,
@@ -574,8 +557,8 @@ def worker_loop(endpoint: tuple[str, int], worker_id: str,
                         episode_rewards=tuple(rewards),
                         episode_wc=tuple(wcs),
                         decision_log=tuple(decision_log),
-                        versions_seen=tuple(mailbox.versions_seen),
-                        shutdown_reason=shutdown_reason[0])
+                        versions_seen=tuple(versions_seen),
+                        shutdown_reason=shutdown_reason)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,10 @@ payload: a 4-byte big-endian header length, a UTF-8 JSON header whose
 or policy parameters; README.md gives the layout). A body whose length
 disagrees with its header is malformed. Payloads above 64 MiB are rejected
 on both sides before any allocation is attempted.
+
+Both ends parse frames one way: an Inbox takes each whole frame off the
+bytes its socket has received, whether the socket blocks or not, and
+write_frame sends one frame.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,33 +178,39 @@ def decode_frame(buf: bytes) -> tuple[WireMessage, int]:
     return _parse_payload(memoryview(buf)[_HEADER.size:end]), end
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    """n bytes or None on clean EOF at a frame boundary; raises mid-frame."""
-    chunks: list[bytes] = []
-    got = 0
-    while got < n:
-        piece = sock.recv(n - got)
-        if not piece:
-            if got == 0:
-                return None
-            raise TruncatedFrame(f"connection closed {got}/{n} bytes into a read")
-        chunks.append(piece)
-        got += len(piece)
-    return b"".join(chunks)
+class Inbox:
+    """The bytes a stream socket has received that are not parsed yet.
 
+    A message may hold views of the bytes it was decoded from, so the buffer
+    is never resized once a frame is taken off it: what follows the last
+    whole frame moves to a new buffer.
+    """
 
-def read_frame(sock: socket.socket) -> WireMessage | None:
-    """One message off the socket, or None when the peer closed cleanly."""
-    header = _recv_exact(sock, _HEADER.size)
-    if header is None:
-        return None
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME:
-        raise FrameTooLarge(f"declared payload of {length} bytes exceeds cap")
-    payload = _recv_exact(sock, length)
-    if payload is None and length > 0:
-        raise TruncatedFrame("connection closed before payload")
-    return _parse_payload(payload or b"")
+    def __init__(self) -> None:
+        self._buf = bytearray()
+
+    def read(self, sock: socket.socket) -> Iterator[WireMessage | None]:
+        """recv() once from `sock`, then yield each whole frame received so far,
+        or None if the peer closed the stream. Raises TruncatedFrame if it
+        closed inside a frame, and whatever recv() raises."""
+        data = sock.recv(1 << 16)
+        if not data and self._buf:
+            raise TruncatedFrame(f"connection closed {len(self._buf)} bytes into a frame")
+        if not data:
+            yield None
+            return
+        buf, used = self._buf, 0
+        buf += data
+        try:
+            while True:
+                msg, size = decode_frame(memoryview(buf)[used:])
+                used += size
+                yield msg
+        except TruncatedFrame:
+            pass
+        finally:
+            if used:
+                self._buf = buf[used:]
 
 
 def write_frame(sock: socket.socket, msg: WireMessage) -> None:

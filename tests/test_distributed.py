@@ -32,7 +32,6 @@ from reinfog.protocol import (
     PolicySync,
     Shutdown,
     WorkerHello,
-    read_frame,
     write_frame,
 )
 from reinfog.replay import Transitions
@@ -45,7 +44,7 @@ from reinfog.sim import (
     uniform_cluster,
 )
 from test_network import PerTensorAdam
-from test_protocol import v2_frame
+from test_protocol import read_frame, v2_frame
 
 CLUSTER = uniform_cluster(2, latency_s=0.0)
 WORKLOAD = generate_workload(1, 4, rng=0, density=0.5)
@@ -482,6 +481,66 @@ def test_a_rejected_worker_gets_its_reason_behind_the_unsent_policy_frames():
     assert learner.dropped_sessions == [("w0", msg.reason)]
 
 
+def test_a_healthy_worker_is_never_dropped_under_large_frequent_policy_frames():
+    # a policy frame of about 2 MB at every update, while the worker acts: it
+    # reads them at its decisions, so none waits past the outbox bounds
+    learner = small_learner(cfg=BIG_CFG, sync=EVERY_UPDATE, expected_workers=1)
+    report = run_worker(learner.address, "w0", episodes=6, sync=EVERY_UPDATE,
+                        dqn_cfg=BIG_CFG)
+    assert learner.join(timeout=20.0)
+    assert learner.dropped_sessions == [] and report.shutdown_reason is None
+    assert learner.received_experiences == report.experiences_sent == 6 * 4
+    assert learner.updates == 12
+    assert report.versions_seen[0] == 0
+    assert list(report.versions_seen) == sorted(set(report.versions_seen))
+
+
+def test_a_worker_runs_on_its_callers_thread(monkeypatch):
+    learner = small_learner(expected_workers=1)
+    started: list[threading.Thread] = []
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+    report = run_worker(learner.address, "w0", episodes=3)
+    monkeypatch.undo()
+    assert learner.join(timeout=10.0)
+    assert started == []
+    assert report.episodes_run == 3 and report.shutdown_reason is None
+
+
+@pytest.mark.parametrize("answer, why", [
+    (v2_frame({"type": "policy_sync", "policy_version": 0, "layer_sizes": [STATE_DIM, 2],
+               "activation": "relu"}), "MalformedFrame: bad policy_sync fields: "),
+    (protocol.encode_frame(Shutdown("cut short"))[:7],
+     "TruncatedFrame: connection closed 7 bytes into a frame"),
+], ids=["malformed", "truncated"])
+def test_a_worker_stopped_by_a_bad_frame_says_why(answer, why, caplog):
+    # a fake learner answers the hello with a bad frame and closes its side
+    # of the stream, then reads until the worker closes its own
+    server = socket.create_server(("127.0.0.1", 0))
+
+    def serve() -> None:
+        conn, _ = server.accept()
+        with conn:
+            assert isinstance(read_frame(conn), WorkerHello)
+            conn.sendall(answer)
+            conn.shutdown(socket.SHUT_WR)
+            while conn.recv(1 << 16):
+                pass
+
+    fake = threading.Thread(target=serve, daemon=True)
+    fake.start()
+    try:
+        report = run_worker(server.getsockname(), "w0", episodes=200)
+    finally:
+        fake.join(timeout=10.0)
+        server.close()
+    assert not fake.is_alive()
+    assert report.shutdown_reason.startswith(why)
+    assert report.episodes_run < 200
+    assert [(r.levelname, r.getMessage()) for r in caplog.records
+            if r.name == "reinfog.distributed"] == [
+        ("WARNING", f"worker w0 stopped: {report.shutdown_reason}")]
+
+
 def test_a_failed_accept_stops_new_sessions_not_training(monkeypatch, caplog):
     learner = small_learner(expected_workers=1)
     sock = socket.create_connection(learner.address, timeout=10.0)
@@ -707,8 +766,8 @@ def test_connect_retry_gives_up():
     started = time.monotonic()
     with pytest.raises(ConnectionError, match="after 5 attempts"):
         _connect_with_retry(dead)
-    # backoff schedule 0.1+0.2+0.4+0.8+1.6
-    assert time.monotonic() - started >= 1.0
+    # five attempts, with a backoff of 0.1+0.2+0.4+0.8 s between them
+    assert 1.0 <= time.monotonic() - started < 2.5
 
 
 def test_centralized_zero_episodes_returns_initial():
