@@ -51,6 +51,7 @@ from .placement import (
     random_instance,
     random_placement,
     brute_force_optimal,
+    search_fields,
 )
 from .sim import (
     ClusterSpec,
@@ -92,7 +93,8 @@ _SEARCH_RUNNERS: dict[str, Callable[..., PlacementResult]] = {
     "fa": fa_run,
     "pso": pso_run,
 }
-# each section's keys are the fields of its dataclass that have a default
+# each section's keys are the fields of its dataclass that have a default,
+# and a search's only those its phases read
 _SECTIONS: dict[str, type] = {"dqn": DqnConfig, "sync": SyncConfig, "train": RewardSpec,
                               **dict.fromkeys(_SEARCH_RUNNERS, PlacementParams)}
 _PLAIN_KEYS = {
@@ -145,7 +147,8 @@ _CHECKS: dict[str, Callable[[str, object], object]] = {
 CONFIG_KEYS: dict[str, Callable[[str, object], object]] = {
     **{key: _CHECKS[kind] for kind, keys in _PLAIN_KEYS.items() for key in keys},
     **{f"{prefix}.{f.name}": _CHECKS[f.type]
-       for prefix, cls in _SECTIONS.items() for f in _settable(cls)},
+       for prefix, cls in _SECTIONS.items() for f in _settable(cls)
+       if prefix not in _SEARCH_RUNNERS or f.name in search_fields(prefix)},
 }
 
 
@@ -453,7 +456,8 @@ def cmd_train_dist(args: argparse.Namespace, cfg: Config) -> int:
     if learner.received_experiences != sent:
         raise RuntimeError(
             f"experience loss: workers sent {sent}, "
-            f"learner received {learner.received_experiences}")
+            f"learner received {learner.received_experiences}; "
+            f"dropped sessions {learner.dropped_sessions}")
 
     print(f"train-dist: {args.workers} workers, {sent} experiences, "
           f"{learner.updates} updates, policy version {learner.policy_version}")

@@ -12,9 +12,10 @@ Topology and rules:
   recv() lets the worker threads of the same process take the interpreter
   lock. Given a recorded arrival order and a fixed seed the learner's
   parameter trajectory is reproducible bit for bit (see replay_arrivals).
-* Per batch arrival the learner performs at most ONE gradient update
-  (once the buffer holds a full batch), so update counts depend only on
-  the arrival sizes, not on timing or experience content.
+* Per arrival the learner, like replay_arrivals and centralized_mode, makes
+  one `DqnAgent.observe` call: at most ONE gradient update, once the agent's
+  replay ring holds a full batch, so update counts depend only on the
+  arrival sizes, not on timing or experience content.
 * Policy broadcasts go out every sync_interval updates with a strictly
   increasing policy_version, encoded once and queued as the same bytes on
   every session's outbox, sent as its socket takes it. A new session's
@@ -27,8 +28,9 @@ Topology and rules:
   read without blocking before each episode and at a decision once
   READ_INTERVAL_S has passed since the last read, and the newest PolicySync
   received goes into force before the next decision. A Shutdown, the
-  learner's close or a bad frame ends the worker before its next episode;
-  the report keeps the Shutdown's reason, or the bad frame's.
+  learner's close or a bad frame ends the worker's episodes and its sends;
+  the report keeps the Shutdown's reason or the bad frame's, or, for a close
+  before the worker's own end of stream, says that the learner closed.
 * The learner ends once its `expected_workers` have come and gone and the
   FIFO is empty; past `max_updates` it trains nothing more and ends once the
   sessions have closed. stop() ends it at once: each worker is sent Shutdown
@@ -65,7 +67,7 @@ from .protocol import (
     WorkerHello,
     write_frame,
 )
-from .replay import RandomReplayBuffer, Transitions
+from .replay import Transitions
 from .sim import (
     ClusterSpec,
     RewardSpec,
@@ -146,37 +148,17 @@ def _batch_fault(batch: Transitions, state_dim: int, n_actions: int) -> str | No
     return f"experience {i}: non-finite {'reward' if not reward_ok[i] else 'state'}"
 
 
-class _TrainerCore:
-    """Buffer-and-update cadence shared by the live learner and replays."""
-
-    def __init__(self, agent: DqnAgent, rng: np.random.Generator) -> None:
-        self.agent = agent
-        self.rng = rng
-        self.buffer = RandomReplayBuffer(agent.cfg.buffer_capacity)
-
-    def ingest(self, batch: Transitions) -> bool:
-        """Append one arrival; run a single update once a batch is buffered."""
-        self.buffer.push(batch)
-        if len(self.buffer) < self.agent.cfg.batch_size:
-            return False
-        batch = self.buffer.sample(self.agent.cfg.batch_size, self.rng)
-        self.agent.train_step(batch)
-        return True
-
-
 def replay_arrivals(arrivals: list[tuple[str, int, Transitions]],
                     state_dim: int, n_actions: int,
                     cfg: DqnConfig | None = None,
                     seed: int | None = 0) -> tuple[int, NetworkParams]:
-    """Re-run a recorded arrival log through a fresh trainer core.
+    """Re-run a recorded arrival log through a fresh agent.
 
     With the same seed as the live learner this reproduces its update count
     and final weights exactly.
     """
-    rng = np.random.default_rng(seed)
-    agent = DqnAgent(state_dim, n_actions, cfg, rng=rng)
-    core = _TrainerCore(agent, rng)
-    return sum(core.ingest(batch) for _, _, batch in arrivals), agent.online
+    agent = DqnAgent(state_dim, n_actions, cfg, rng=seed)
+    return sum(agent.observe(batch) for _, _, batch in arrivals), agent.online
 
 
 @dataclass(eq=False)
@@ -204,12 +186,9 @@ class Learner:
                  seed: int | None = 0, host: str = "127.0.0.1", port: int = 0,
                  max_updates: int | None = None,
                  expected_workers: int | None = None) -> None:
-        self.cfg = cfg or DqnConfig()
         self.sync = sync or SyncConfig()
-        rng = np.random.default_rng(seed)
-        self.agent = DqnAgent(state_dim, n_actions, self.cfg, rng=rng)
+        self.agent = DqnAgent(state_dim, n_actions, cfg, rng=seed)
         self._dims = (state_dim, n_actions)
-        self._core = _TrainerCore(self.agent, rng)
         self._max_updates, self._expected_workers = max_updates, expected_workers
         self._policy_frame = protocol.encode_frame(PolicySync(0, self.agent.online))
         self.received_experiences = 0
@@ -361,7 +340,7 @@ class Learner:
 
     def _train(self, arrival: tuple[str, int, Transitions]) -> None:
         self.arrival_log.append(arrival)
-        if not self._core.ingest(arrival[2]):
+        if not self.agent.observe(arrival[2]):
             return
         if self.updates % self.sync.sync_interval == 0:
             self._broadcast(PolicySync(self.policy_version, self.agent.online))
@@ -478,6 +457,7 @@ def worker_loop(endpoint: tuple[str, int], worker_id: str,
     versions_seen: list[int] = []
     decision_log: list[int] = []
     ended, shutdown_reason = False, None
+    sent_all = False  # the worker has shut down its side of the stream
     last_read = time.monotonic()
     pending: list[Transitions] = []
     seq = experiences_sent = 0  # seq also counts the batches sent
@@ -501,6 +481,8 @@ def worker_loop(endpoint: tuple[str, int], worker_id: str,
                         break
                     elif msg is None:  # the learner closed the session
                         ended = True
+                        if not sent_all:  # it dropped this worker without a word
+                            raise ConnectionAbortedError("the learner closed the session")
         except (BlockingIOError, TimeoutError):
             pass  # nothing more has arrived
         except (ProtocolError, OSError) as exc:
@@ -522,6 +504,8 @@ def worker_loop(endpoint: tuple[str, int], worker_id: str,
 
     def flush(everything: bool = False) -> None:
         nonlocal seq, experiences_sent
+        if ended:  # what the learner would not take is not sent, nor counted
+            return
         for batch in _take_batches(pending, sync.batch_flush, everything):
             write_frame(sock, ExperienceBatch(worker_id, seq + 1, batch))
             seq += 1
@@ -539,6 +523,7 @@ def worker_loop(endpoint: tuple[str, int], worker_id: str,
             pending.append(result.steps)
             flush()
         flush(everything=True)
+        sent_all = True
         try:
             sock.shutdown(socket.SHUT_WR)
         except OSError:
@@ -591,15 +576,13 @@ def centralized_mode(cluster: ClusterSpec, workload, episodes: int,
     """
     sync = sync or SyncConfig()
     spec = reward_spec or make_reward_spec(cluster, workload, releases=releases)
-    rng = np.random.default_rng(seed)
-    agent = DqnAgent(sim.state_dim(cluster.n), cluster.n, dqn_cfg, rng=rng)
-    core = _TrainerCore(agent, rng)
+    agent = DqnAgent(sim.state_dim(cluster.n), cluster.n, dqn_cfg, rng=seed)
     pending: list[Transitions] = []
     trace: list[EpisodeRow] = []
 
     def drain(everything: bool = False) -> None:  # agent.updates counts the updates run
         for batch in _take_batches(pending, sync.batch_flush, everything):
-            core.ingest(batch)
+            agent.observe(batch)
 
     for episode in range(episodes):
         result = run_episode(cluster, workload, agent.act, spec, releases)

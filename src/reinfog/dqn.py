@@ -1,4 +1,4 @@
-"""DQN agent tying together the network, target bootstrapping, and exploration."""
+"""DQN agent tying together replay, the network, target bootstrapping, and exploration."""
 
 from __future__ import annotations
 
@@ -14,9 +14,8 @@ from .network import (
     dqn_update,
     forward,
     make_optimizer,
-    sync_target,
 )
-from .replay import Transitions
+from .replay import RandomReplayBuffer, Transitions
 
 
 @dataclass
@@ -56,7 +55,8 @@ class DqnConfig:
 
 
 class DqnAgent:
-    """Online/target network pair with epsilon-greedy acting and MSE updates."""
+    """Online/target network pair with epsilon-greedy acting, and a replay
+    ring, allocated at its first push, that feeds MSE updates."""
 
     def __init__(self, state_dim: int, n_actions: int, cfg: DqnConfig | None = None,
                  rng: np.random.Generator | int | None = None) -> None:
@@ -64,7 +64,8 @@ class DqnAgent:
         self.rng = np.random.default_rng(rng)
         sizes = (state_dim, *self.cfg.hidden_sizes, n_actions)
         self.online = NetworkParams.glorot(sizes, self.cfg.activation, self.rng)
-        self.target = sync_target(self.online)
+        self.target = self.online.copy()
+        self.buffer = RandomReplayBuffer(self.cfg.buffer_capacity)
         self.optimizer = make_optimizer(self.cfg.optimizer, self.cfg.learning_rate)
         self.n_actions = n_actions
         self.decisions = 0
@@ -84,9 +85,6 @@ class DqnAgent:
         self.decisions += 1
         return action
 
-    def greedy(self, state: np.ndarray) -> int:
-        return int(np.argmax(forward(self.online, state)))
-
     def set_online(self, params: NetworkParams) -> None:
         """Swap in externally trained parameters (distributed policy sync)."""
         self.online = params.copy()
@@ -103,5 +101,14 @@ class DqnAgent:
                           self.optimizer)
         self.updates += 1
         if self.updates % self.cfg.target_sync_interval == 0:
-            self.target = sync_target(self.online)
+            self.target = self.online.copy()
         return loss
+
+    def observe(self, batch: Transitions) -> bool:
+        """Push one arrival, then, once a batch is held, run one update on a
+        batch sampled with `rng`; True if it did."""
+        self.buffer.push(batch)
+        if len(self.buffer) < self.cfg.batch_size:
+            return False
+        self.train_step(self.buffer.sample(self.cfg.batch_size, self.rng))
+        return True

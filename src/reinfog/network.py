@@ -227,11 +227,6 @@ def dqn_update(params: NetworkParams, states: np.ndarray, actions: np.ndarray,
     return loss
 
 
-def sync_target(online: NetworkParams) -> NetworkParams:
-    """Copy of the online parameters (one memcpy) for use as a frozen target."""
-    return online.copy()
-
-
 # ---------------------------------------------------------------------------
 # Persistence
 

@@ -376,9 +376,23 @@ def _ga_offspring(assign: np.ndarray, fit: np.ndarray, params: PlacementParams,
     return children
 
 
+# The phases each search runs, and the PlacementParams fields each phase
+# reads; every search also reads RUN_FIELDS.
+SEARCH_PHASES = {"madcp": ("ga", "fa", "pso"), "ga": ("ga",), "fa": ("fa",), "pso": ("pso",)}
+PHASE_FIELDS = {"ga": ("num_operations", "crossover_rate", "mutation_rate"),
+                "fa": ("fa_alpha", "fa_beta", "fa_gamma"),
+                "pso": ("pso_w", "pso_c1", "pso_c2")}
+RUN_FIELDS = ("population_size", "generations", "penalty_lambda")
+
+
+def search_fields(algorithm: str) -> set[str]:
+    """The PlacementParams fields the search `algorithm` reads."""
+    return {*RUN_FIELDS, *(f for p in SEARCH_PHASES[algorithm] for f in PHASE_FIELDS[p])}
+
+
 def _run_engine(inst: PlacementInstance, params: PlacementParams,
-                rng: np.random.Generator | int | None, algorithm: str,
-                ga_phase: bool, fa_phase: bool, pso_phase: bool) -> PlacementResult:
+                rng: np.random.Generator | int | None, algorithm: str) -> PlacementResult:
+    ga_phase, fa_phase, pso_phase = (p in SEARCH_PHASES[algorithm] for p in ("ga", "fa", "pso"))
     rng = np.random.default_rng(rng)
     tables = _CostTables(inst)
     lam = params.penalty_lambda
@@ -448,26 +462,22 @@ def _run_engine(inst: PlacementInstance, params: PlacementParams,
 def madcp_run(inst: PlacementInstance, params: PlacementParams | None = None,
               rng: np.random.Generator | int | None = None) -> PlacementResult:
     """Full memetic loop: GA operations, firefly pass, PSO move, best tracking."""
-    return _run_engine(inst, params or PlacementParams.madcp(), rng, "madcp",
-                       ga_phase=True, fa_phase=True, pso_phase=True)
+    return _run_engine(inst, params or PlacementParams.madcp(), rng, "madcp")
 
 
 def ga_run(inst: PlacementInstance, params: PlacementParams | None = None,
            rng: np.random.Generator | int | None = None) -> PlacementResult:
-    return _run_engine(inst, params or PlacementParams.ga(), rng, "ga",
-                       ga_phase=True, fa_phase=False, pso_phase=False)
+    return _run_engine(inst, params or PlacementParams.ga(), rng, "ga")
 
 
 def fa_run(inst: PlacementInstance, params: PlacementParams | None = None,
            rng: np.random.Generator | int | None = None) -> PlacementResult:
-    return _run_engine(inst, params or PlacementParams.fa(), rng, "fa",
-                       ga_phase=False, fa_phase=True, pso_phase=False)
+    return _run_engine(inst, params or PlacementParams.fa(), rng, "fa")
 
 
 def pso_run(inst: PlacementInstance, params: PlacementParams | None = None,
             rng: np.random.Generator | int | None = None) -> PlacementResult:
-    return _run_engine(inst, params or PlacementParams.pso(), rng, "pso",
-                       ga_phase=False, fa_phase=False, pso_phase=True)
+    return _run_engine(inst, params or PlacementParams.pso(), rng, "pso")
 
 
 def random_placement(inst: PlacementInstance,

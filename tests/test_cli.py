@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -103,6 +104,7 @@ def test_non_dotted_config_key_rejected(tmp_path):
     ("dqn.eps_decay_steps", -5),
     ("dqn.optimizer", "adamw"),
     ("dqn.activation", "gelu"),
+    ("ga.fa_alpha", 0.2),  # a field the GA search does not read
     # values only the library checks, while inputs are built from the config
     ("sim.density", 2.0),
     ("sim.arrival_rate", 0),
@@ -319,6 +321,18 @@ def test_train_dist_failing_worker_exits_2_naming_it(tmp_path, capsys, monkeypat
     assert rc == 2
     assert time.monotonic() - started < 10.0
     assert f"worker w01 failed: ValueError: boom {when}" in capsys.readouterr().err
+
+
+def test_train_dist_experience_loss_exits_2_naming_the_dropped_sessions(
+        tmp_path, capsys, monkeypatch):
+    real = cli.worker_loop
+    monkeypatch.setattr(cli, "worker_loop", lambda *args, **kwargs: dataclasses.replace(
+        real(*args, **kwargs), experiences_sent=0))
+    cfg = write_config(tmp_path / "c.json", FAST_TRAIN)
+    assert run_cli(["train-dist", "--config", cfg, "--workers", "2", "--seed", "6",
+                    "--out", str(tmp_path / "out")]) == 2
+    assert ("experience loss: workers sent 0, learner received 48; dropped sessions []"
+            in capsys.readouterr().err)
 
 
 # -- simulate ----------------------------------------------------------------

@@ -511,10 +511,13 @@ def test_a_worker_runs_on_its_callers_thread(monkeypatch):
                "activation": "relu"}), "MalformedFrame: bad policy_sync fields: "),
     (protocol.encode_frame(Shutdown("cut short"))[:7],
      "TruncatedFrame: connection closed 7 bytes into a frame"),
-], ids=["malformed", "truncated"])
+    (protocol.encode_frame(PolicySync(0, DqnAgent(STATE_DIM, CLUSTER.n, SMALL_CFG).online)),
+     "ConnectionAbortedError: the learner closed the session"),
+], ids=["malformed", "truncated", "closed"])
 def test_a_worker_stopped_by_a_bad_frame_says_why(answer, why, caplog):
-    # a fake learner answers the hello with a bad frame and closes its side
-    # of the stream, then reads until the worker closes its own
+    # a fake learner answers the hello with a bad frame, or with a bootstrap
+    # and no Shutdown, and closes its side of the stream while the worker
+    # still has episodes to run, then reads until the worker closes its own
     server = socket.create_server(("127.0.0.1", 0))
 
     def serve() -> None:
@@ -539,6 +542,31 @@ def test_a_worker_stopped_by_a_bad_frame_says_why(answer, why, caplog):
     assert [(r.levelname, r.getMessage()) for r in caplog.records
             if r.name == "reinfog.distributed"] == [
         ("WARNING", f"worker w0 stopped: {report.shutdown_reason}")]
+
+
+def test_a_worker_the_learner_drops_says_so_and_counts_only_what_it_took(monkeypatch):
+    # the worker stops reading at one decision in its third episode, long
+    # enough for a policy frame to wait past the send timeout: the learner
+    # closes the session without a Shutdown, and the worker sends nothing more
+    monkeypatch.setattr(distributed, "SEND_TIMEOUT_S", 0.2)
+    act, decisions = DqnAgent.act, 0
+
+    def slow_act(self, state, rng=None):
+        nonlocal decisions
+        decisions += 1
+        if decisions == 10:  # the second of the third episode's four
+            time.sleep(1.0)
+        return act(self, state, rng)
+
+    monkeypatch.setattr(DqnAgent, "act", slow_act)
+    learner = small_learner(cfg=BIG_CFG, sync=EVERY_UPDATE, expected_workers=1)
+    report = run_worker(learner.address, "w0", episodes=6, sync=EVERY_UPDATE,
+                        dqn_cfg=BIG_CFG)
+    assert learner.join(timeout=10.0)
+    [(who, why)] = learner.dropped_sessions
+    assert who == "w0" and "frames unsent" in why
+    assert report.shutdown_reason is not None and report.episodes_run < 6
+    assert report.experiences_sent == learner.received_experiences
 
 
 def test_a_failed_accept_stops_new_sessions_not_training(monkeypatch, caplog):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from reinfog import dqn
+from reinfog.distributed import replay_arrivals
 from reinfog.dqn import DqnAgent, DqnConfig
 from reinfog.explore import eps_greedy
 from reinfog.network import forward
-from reinfog.replay import Transitions
+from reinfog.replay import RandomReplayBuffer, Transitions
 from test_network import dqn_target
 
 
@@ -43,17 +44,46 @@ def test_epsilon_decays_with_decisions():
     assert agent.epsilon == 0.05
 
 
-def test_greedy_matches_online_argmax():
-    agent = make_agent()
-    state = np.random.default_rng(1).normal(size=4)
-    q = forward(agent.online, state)
-    assert agent.greedy(state) == int(np.argmax(q))
-
-
 def batch(rng, n=16) -> Transitions:
     return Transitions(states=rng.normal(size=(n, 4)), actions=rng.integers(3, size=n),
                        rewards=rng.normal(size=n), next_states=rng.normal(size=(n, 4)),
                        done=rng.random(n) < 0.2)
+
+
+def arrivals(sizes, seed=6) -> list[Transitions]:
+    rng = np.random.default_rng(seed)
+    return [batch(rng, n) for n in sizes]
+
+
+def test_observe_updates_once_a_batch_is_buffered(monkeypatch):
+    agent = make_agent(batch_size=8, buffer_capacity=64)
+    assert agent.buffer._rows is None  # so a worker's agent, which never observes, holds no ring
+    sampled = []
+    train_step = DqnAgent.train_step
+    monkeypatch.setattr(DqnAgent, "train_step",
+                        lambda self, b: sampled.append(len(b)) or train_step(self, b))
+    got = []  # (what observe returned, the train_steps it ran)
+    for b in arrivals([3, 4, 1, 2, 20, 1]):
+        before = len(sampled)
+        got.append((agent.observe(b), len(sampled) - before))
+    assert got == [(False, 0), (False, 0)] + [(True, 1)] * 4
+    assert sampled == [8] * 4 and agent.updates == 4 and len(agent.buffer) == 31
+
+
+def test_replay_arrivals_is_one_observe_per_arrival_bit_for_bit():
+    cfg = DqnConfig(hidden_sizes=(8, 8), batch_size=8, buffer_capacity=16,
+                    target_sync_interval=3)
+    log = [("w0", seq, b) for seq, b in enumerate(arrivals([5, 3, 8, 1, 12, 2, 7]), 1)]
+    updates, replayed = replay_arrivals(log, 4, 3, cfg, seed=9)
+    agent = DqnAgent(4, 3, cfg, rng=9)
+    assert updates == sum(agent.observe(b) for _, _, b in log) == 6
+    # the rule written out: a ring of its own, sampled with the agent's generator
+    ref, ring = DqnAgent(4, 3, cfg, rng=9), RandomReplayBuffer(cfg.buffer_capacity)
+    for _, _, b in log:
+        ring.push(b)
+        if len(ring) >= cfg.batch_size:
+            ref.train_step(ring.sample(cfg.batch_size, ref.rng))
+    assert replayed.flat.tobytes() == agent.online.flat.tobytes() == ref.online.flat.tobytes()
 
 
 def test_train_step_targets_match_scalar_rule():
@@ -107,8 +137,8 @@ def test_learns_trivial_bandit():
                        np.array([state] * 3), np.ones(3, dtype=bool))
     for _ in range(300):
         agent.train_step(pool[[int(rng.integers(3)) for _ in range(8)]])
-    assert agent.greedy(np.array(state)) == 1
     q = forward(agent.online, np.array(state))
+    assert int(np.argmax(q)) == 1
     assert np.allclose(q, rewards, atol=0.15)
 
 

@@ -17,7 +17,6 @@ from reinfog.network import (
     policy_from_doc,
     policy_to_doc,
     save_policy,
-    sync_target,
 )
 
 
@@ -211,14 +210,6 @@ def test_loss_decreases_on_fixed_batch():
     assert all(l >= 0.0 for l in losses)
 
 
-def test_sync_target_is_deep_copy():
-    net = NetworkParams.glorot((2, 3, 2), rng=0)
-    tgt = sync_target(net)
-    assert all(np.array_equal(a, b) for a, b in zip(net.weights, tgt.weights))
-    net.weights[0][0, 0] += 1.0
-    assert tgt.weights[0][0, 0] != net.weights[0][0, 0]
-
-
 def test_policy_round_trip_bit_identical(tmp_path):
     net = NetworkParams.glorot((4, 6, 3), "tanh", rng=11)
     path = tmp_path / "p.json"
@@ -283,7 +274,7 @@ def test_every_constructor_binds_views_into_flat():
     agent = DqnAgent(4, 3, DqnConfig(hidden_sizes=(6, 5)), rng=0)
     agent.set_online(net)
     unpacked = NetworkParams.from_flat(net.layer_sizes, net.flat, "tanh")
-    for made in (net, hand_net(), net.copy(), sync_target(net), loaded,
+    for made in (net, hand_net(), net.copy(), loaded,
                  pickle.loads(pickle.dumps(net)), agent.online, agent.target, unpacked):
         assert_views_of_flat(made)
         assert made.flat.ndim == 1 and made.flat.flags.c_contiguous
@@ -304,8 +295,9 @@ def test_write_through_a_view_shows_in_flat():
 
 def test_copies_share_no_memory_with_their_source():
     net = NetworkParams.glorot((3, 4, 2), rng=1)
-    for other in (net.copy(), sync_target(net), pickle.loads(pickle.dumps(net)),
+    for other in (net.copy(), pickle.loads(pickle.dumps(net)),
                   NetworkParams.from_flat(net.layer_sizes, net.flat)):
+        assert all(np.array_equal(a, b) for a, b in zip(net.weights, other.weights))
         assert not np.shares_memory(other.flat, net.flat)
         other.flat += 1.0
         assert not np.array_equal(other.flat, net.flat)
