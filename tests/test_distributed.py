@@ -547,8 +547,18 @@ def test_a_worker_stopped_by_a_bad_frame_says_why(answer, why, caplog):
 def test_a_worker_the_learner_drops_says_so_and_counts_only_what_it_took(monkeypatch):
     # the worker stops reading at one decision in its third episode, long
     # enough for a policy frame to wait past the send timeout: the learner
-    # closes the session without a Shutdown, and the worker sends nothing more
+    # closes the session without a Shutdown, and the worker sends nothing more.
+    # Its receive buffer is pinned small, or the kernel could grow it to hold
+    # every frame sent during the pause, and nothing would wait.
     monkeypatch.setattr(distributed, "SEND_TIMEOUT_S", 0.2)
+
+    def connect(endpoint):
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)
+        sock.connect(endpoint)
+        return sock
+
+    monkeypatch.setattr(distributed, "_connect_with_retry", connect)
     act, decisions = DqnAgent.act, 0
 
     def slow_act(self, state, rng=None):
