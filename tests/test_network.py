@@ -210,6 +210,22 @@ def test_loss_decreases_on_fixed_batch():
     assert all(l >= 0.0 for l in losses)
 
 
+def test_sync_target_is_deep_copy():
+    from reinfog.dqn import DqnAgent, DqnConfig
+    from reinfog.replay import Transitions
+
+    agent = DqnAgent(4, 3, DqnConfig(hidden_sizes=(5,), target_sync_interval=1), rng=0)
+    rng = np.random.default_rng(3)
+    agent.train_step(Transitions(rng.normal(size=(8, 4)), rng.integers(3, size=8),
+                                 rng.normal(size=8), rng.normal(size=(8, 4)),
+                                 np.zeros(8, dtype=bool)))
+    net, tgt = agent.online, agent.target
+    assert all(np.array_equal(a, b) for a, b in zip(net.weights, tgt.weights))
+    assert not np.shares_memory(tgt.flat, net.flat)
+    net.weights[0][0, 0] += 1.0
+    assert tgt.weights[0][0, 0] != net.weights[0][0, 0]
+
+
 def test_policy_round_trip_bit_identical(tmp_path):
     net = NetworkParams.glorot((4, 6, 3), "tanh", rng=11)
     path = tmp_path / "p.json"
