@@ -584,6 +584,12 @@ PINNED_OUTPUTS = {
         "place_random_rep00.csv": "794bf80cb35001c5913278247b75459dba1541055bfcb29eb7cb0f611936ad22",
         "place_random_rep01.csv": "32100e08a11d496e17db2e72fde56bbf18dae2059ee47fe25823e45ffc933353",
         "place_summary.csv": "a73c56382e17e55f2a88b0e55ad25f2797f122088c078da30f2ff43b4930c9c2"},
+    ("place", "--reps", "2", "--algorithms", "fa,pso"): {
+        "place_fa_rep00.csv": "8c64051f184ea077514ceee881c382bd498143eb72b3dbe9c7613a6f93929640",
+        "place_fa_rep01.csv": "5bf698e01f78351caa1dd7c40351c5ad171f132fa7d7bdc10aeb815b6cddfa46",
+        "place_pso_rep00.csv": "118f91d9a5dc18647d54241446e7bb2ec4aa18f8dc8d2423938f392c04d87955",
+        "place_pso_rep01.csv": "8c75ab2bfbbf690e27657531d2831e3cea9d50d0803e1d73e433876e882a25db",
+        "place_summary.csv": "09c24318afa3603f826924c9ff4aa3a93061956eb2d4fc202d75cb2bb3785091"},
     ("train",): {
         "rewards.csv": "4f7c9f69b51b9424f450ca9d89410b637e3bc88b40dae64563f92837ac2f66db"},
     ("train-dist", "--workers", "2"): {
@@ -610,6 +616,8 @@ def test_cli_outputs_pinned(tmp_path, monkeypatch, argv):
     cfg = write_config(tmp_path / "c.json", {
         "madcp.population_size": 16, "madcp.generations": 5,
         "ga.population_size": 16, "ga.generations": 5,
+        "fa.population_size": 16, "fa.generations": 5,
+        "pso.population_size": 16, "pso.generations": 5,
         "place.m": 4, "place.n": 3,
         "train.episodes": 3, "sim.apps": 2, "sim.tasks_per_app": 3,
         "dqn.hidden_sizes": [8], "dqn.batch_size": 8,
