@@ -40,18 +40,16 @@ from .dqn import DqnConfig
 from .model import AppDag, Node, dag_from_json, fold_sum, instance_from_json
 from .network import forward, load_policy, save_policy
 from .placement import (
+    SEARCHES,
     InstanceTooLarge,
     PlacementParams,
-    PlacementResult,
-    fa_run,
     fitness,
-    ga_run,
-    madcp_run,
-    pso_run,
     random_instance,
     random_placement,
     brute_force_optimal,
+    run_search,
     search_fields,
+    search_params,
 )
 from .sim import (
     ClusterSpec,
@@ -87,16 +85,10 @@ class _Parser(argparse.ArgumentParser):
 # configuration
 
 
-_SEARCH_RUNNERS: dict[str, Callable[..., PlacementResult]] = {
-    "madcp": madcp_run,
-    "ga": ga_run,
-    "fa": fa_run,
-    "pso": pso_run,
-}
 # each section's keys are the fields of its dataclass that have a default,
 # and a search's only those its phases read
 _SECTIONS: dict[str, type] = {"dqn": DqnConfig, "sync": SyncConfig, "train": RewardSpec,
-                              **dict.fromkeys(_SEARCH_RUNNERS, PlacementParams)}
+                              **dict.fromkeys(SEARCHES, PlacementParams)}
 _PLAIN_KEYS = {
     "int": ("place.m", "place.n", "sim.apps", "sim.tasks_per_app", "sim.layers",
             "train.episodes", "dist.max_updates", "bench.generations", "bench.m", "bench.n"),
@@ -148,7 +140,7 @@ CONFIG_KEYS: dict[str, Callable[[str, object], object]] = {
     **{key: _CHECKS[kind] for kind, keys in _PLAIN_KEYS.items() for key in keys},
     **{f"{prefix}.{f.name}": _CHECKS[f.type]
        for prefix, cls in _SECTIONS.items() for f in _settable(cls)
-       if prefix not in _SEARCH_RUNNERS or f.name in search_fields(prefix)},
+       if prefix not in SEARCHES or f.name in search_fields(prefix)},
 }
 
 
@@ -330,7 +322,7 @@ def _resolve_instance(cfg: Config, rng: np.random.Generator):
 def cmd_place(args: argparse.Namespace, cfg: Config) -> int:
     raw = args.algorithms or cfg.get("place.algorithms", "madcp,ga,fa,pso")
     algorithms = [a.strip() for a in raw.split(",") if a.strip()]
-    known = set(_SEARCH_RUNNERS) | {"random"}
+    known = set(SEARCHES) | {"random"}
     for alg in algorithms:
         if alg not in known:
             raise CliError(f"unknown algorithm {alg!r}; pick from {sorted(known)}")
@@ -346,7 +338,7 @@ def cmd_place(args: argparse.Namespace, cfg: Config) -> int:
     wall_meta: dict[str, object] = {}
     for alg in algorithms:
         params = None if alg == "random" else _section(
-            cfg, alg, PlacementParams, getattr(PlacementParams, alg))
+            cfg, alg, PlacementParams, functools.partial(search_params, alg))
         finals: list[float] = []
         feasible_count = 0
         t0 = time.perf_counter()
@@ -355,11 +347,13 @@ def cmd_place(args: argparse.Namespace, cfg: Config) -> int:
                 cfg, np.random.default_rng([args.seed, rep]))
             rng = np.random.default_rng([args.seed, rep, sorted(known).index(alg)])
             result = (random_placement(inst, rng) if alg == "random"
-                      else _SEARCH_RUNNERS[alg](inst, params, rng))
+                      else run_search(alg, inst, params, rng))
+            phase_ms = result.trace.phase_ms if args.timing else {}
             write_csv(os.path.join(args.out, f"place_{alg}_rep{rep:02d}.csv"), header,
                       [(r.generation, r.best_fitness, r.best_F, r.feasible,
                         r.elapsed_ms if args.timing else 0.0) for r in result.trace.rows],
-                      _meta("place", args.seed, algorithm=alg, rep=rep))
+                      _meta("place", args.seed, algorithm=alg, rep=rep,
+                            **{f"phase_ms_{p}": f"{ms:.3f}" for p, ms in phase_ms.items()}))
             finals.append(result.objective_value)
             feasible_count += int(result.feasible)
         wall_meta[f"wall_s_{alg}"] = f"{time.perf_counter() - t0:.3f}"
@@ -453,11 +447,15 @@ def cmd_train_dist(args: argparse.Namespace, cfg: Config) -> int:
     wall = time.perf_counter() - t0
 
     sent = sum(r.experiences_sent for r in reports.values())
-    if learner.received_experiences != sent:
-        raise RuntimeError(
+    taken = learner.received_by_worker
+    lost = [f"{wid} sent {r.experiences_sent}, learner took {taken.get(wid, 0)} "
+            f"({dict(learner.dropped_sessions).get(wid, 'not dropped')})"
+            for wid, r in sorted(reports.items()) if r.experiences_sent != taken.get(wid, 0)]
+    if lost or learner.received_experiences != sent:
+        raise RuntimeError("; ".join([
             f"experience loss: workers sent {sent}, "
-            f"learner received {learner.received_experiences}; "
-            f"dropped sessions {learner.dropped_sessions}")
+            f"learner received {learner.received_experiences}",
+            f"dropped sessions {learner.dropped_sessions}", *lost]))
 
     print(f"train-dist: {args.workers} workers, {sent} experiences, "
           f"{learner.updates} updates, policy version {learner.policy_version}")
@@ -578,7 +576,7 @@ def cmd_bench(args: argparse.Namespace, cfg: Config) -> int:
     with _from_keys(cfg, "bench.populations", "bench.generations", "bench.m", "bench.n"):
         populations = [int(p) for p in cfg.get("bench.populations", "25,50,100,200").split(",")
                        if p.strip()]
-        runs = [PlacementParams.madcp(population_size=pop, generations=generations)
+        runs = [PlacementParams(population_size=pop, generations=generations)
                 for pop in populations]
         inst = random_instance(m, n, rng=np.random.default_rng([args.seed, 0]))
     if not populations:
@@ -587,7 +585,7 @@ def cmd_bench(args: argparse.Namespace, cfg: Config) -> int:
     rows = []
     medians: dict[int, float] = {}
     for pop, params in zip(populations, runs):
-        result = madcp_run(inst, params, rng=np.random.default_rng([args.seed, 1, pop]))
+        result = run_search("madcp", inst, params, np.random.default_rng([args.seed, 1, pop]))
         med = medians[pop] = statistics.median(result.trace.generation_times_ms())
         rows.append((pop, generations, m, n, result.objective_value,
                      result.feasible))
@@ -645,7 +643,7 @@ def build_parser() -> _Parser:
     p.add_argument("--algorithms", default=None,
                    help="comma list from madcp,ga,fa,pso,random")
     p.add_argument("--timing", action="store_true",
-                   help="record real per-generation wall times in trace CSVs")
+                   help="record real per-generation and per-phase wall times in trace CSVs")
     p.set_defaults(func=cmd_place)
 
     p = sub.add_parser("train", parents=[common],

@@ -191,7 +191,7 @@ class Learner:
         self._dims = (state_dim, n_actions)
         self._max_updates, self._expected_workers = max_updates, expected_workers
         self._policy_frame = protocol.encode_frame(PolicySync(0, self.agent.online))
-        self.received_experiences = 0
+        self.received_by_worker: dict[str, int] = {}  # experiences taken, by worker id
         self.arrival_log: list[tuple[str, int, Transitions]] = []
         self.dropped_sessions: list[tuple[str, str]] = []  # (worker or peer, reason)
         self._fifo: deque[tuple[str, int, Transitions]] = deque()
@@ -211,6 +211,10 @@ class Learner:
     def start(self) -> "Learner":
         self._thread.start()
         return self
+
+    @property
+    def received_experiences(self) -> int:
+        return sum(self.received_by_worker.values())
 
     @property
     def updates(self) -> int:
@@ -319,6 +323,7 @@ class Learner:
             if s.who in self._workers:
                 return "duplicate worker id"
             self._workers[s.who] = s
+            self.received_by_worker.setdefault(s.who, 0)
             self._sessions_started += 1
             log.info("session of worker %s from %s", s.who, peer)
             self._send(s, self._policy_frame)  # the last published policy
@@ -333,7 +338,7 @@ class Learner:
         if fault is not None:
             return f"worker {msg.worker_id} batch {msg.seq} {fault}"
         s.last_seq = msg.seq
-        self.received_experiences += len(msg.experiences)
+        self.received_by_worker[s.who] += len(msg.experiences)
         if not self._complete:
             self._fifo.append((msg.worker_id, msg.seq, msg.experiences))
         return None

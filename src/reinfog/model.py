@@ -300,10 +300,6 @@ class ScheduleConfig:
     def makespan(self) -> float:
         return max(r.finish_s for r in self.entries.values())
 
-    @property
-    def all_success(self) -> bool:
-        return all(r.success for r in self.entries.values())
-
 
 def critical_path(dag: AppDag, sched: ScheduleConfig) -> list[int]:
     """Task ids along the path that realizes the application makespan.
@@ -396,22 +392,6 @@ def _json_id(value: object, what: str) -> int:
     return value
 
 
-def instance_to_json(inst: PlacementInstance) -> dict:
-    return {
-        "components": [
-            {"id": c.id, "compute_req": c.compute_req, "mem_req": c.mem_req,
-             "deadline": c.deadline, "role": c.role}
-            for c in inst.components
-        ],
-        "nodes": [
-            {"id": nd.id, "compute_cap": nd.compute_cap, "mem_avail": nd.mem_avail,
-             "power_draw": nd.power_draw}
-            for nd in inst.nodes
-        ],
-        "weights": {"omega1": inst.omega1, "omega2": inst.omega2},
-    }
-
-
 def instance_from_json(doc: dict) -> PlacementInstance:
     try:
         components = tuple(
@@ -431,17 +411,6 @@ def instance_from_json(doc: dict) -> PlacementInstance:
                                  omega2=float(weights.get("omega2", 0.5)))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance document: {exc}") from exc
-
-
-def dag_to_json(dag: AppDag) -> dict:
-    tasks = []
-    for t in dag.tasks:
-        row = {"id": t.id, "compute_req": t.compute_req, "input_size": t.input_size,
-               "output_size": t.output_size, "predecessors": list(t.predecessors)}
-        if t.deadline is not None:
-            row["deadline"] = t.deadline
-        tasks.append(row)
-    return {"id": dag.id, "tasks": tasks}
 
 
 def dag_from_json(doc: dict) -> AppDag:

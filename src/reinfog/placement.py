@@ -74,27 +74,6 @@ class PlacementParams:
     def operations(self) -> int:
         return self.num_operations if self.num_operations is not None else self.population_size // 2
 
-    @classmethod
-    def madcp(cls, **kw) -> "PlacementParams":
-        return cls(**kw)
-
-    @classmethod
-    def ga(cls, **kw) -> "PlacementParams":
-        kw.setdefault("population_size", 100)
-        kw.setdefault("crossover_rate", 0.9)
-        return cls(**kw)
-
-    @classmethod
-    def fa(cls, **kw) -> "PlacementParams":
-        kw.setdefault("population_size", 100)
-        kw.setdefault("fa_gamma", 0.1)
-        return cls(**kw)
-
-    @classmethod
-    def pso(cls, **kw) -> "PlacementParams":
-        kw.setdefault("population_size", 100)
-        return cls(**kw)
-
 
 @dataclass(eq=False)
 class Population:
@@ -328,6 +307,7 @@ class TraceRow:
 @dataclass
 class RunTrace:
     rows: list[TraceRow] = field(default_factory=list)
+    phase_ms: dict[str, float] = field(default_factory=dict)  # wall ms in each phase's moves
 
     def best_fitness_series(self) -> list[float]:
         return [r.best_fitness for r in self.rows]
@@ -376,9 +356,13 @@ def _ga_offspring(assign: np.ndarray, fit: np.ndarray, params: PlacementParams,
     return children
 
 
-# The phases each search runs, and the PlacementParams fields each phase
-# reads; every search also reads RUN_FIELDS.
-SEARCH_PHASES = {"madcp": ("ga", "fa", "pso"), "ga": ("ga",), "fa": ("fa",), "pso": ("pso",)}
+# What each search is: the phases it runs, in order, and its defaults where
+# they differ from PlacementParams'. PHASE_FIELDS names the PlacementParams
+# fields each phase reads; every search also reads RUN_FIELDS.
+SEARCHES = {"madcp": (("ga", "fa", "pso"), {}),
+            "ga": (("ga",), {"population_size": 100, "crossover_rate": 0.9}),
+            "fa": (("fa",), {"population_size": 100, "fa_gamma": 0.1}),
+            "pso": (("pso",), {"population_size": 100})}
 PHASE_FIELDS = {"ga": ("num_operations", "crossover_rate", "mutation_rate"),
                 "fa": ("fa_alpha", "fa_beta", "fa_gamma"),
                 "pso": ("pso_w", "pso_c1", "pso_c2")}
@@ -387,12 +371,20 @@ RUN_FIELDS = ("population_size", "generations", "penalty_lambda")
 
 def search_fields(algorithm: str) -> set[str]:
     """The PlacementParams fields the search `algorithm` reads."""
-    return {*RUN_FIELDS, *(f for p in SEARCH_PHASES[algorithm] for f in PHASE_FIELDS[p])}
+    return {*RUN_FIELDS, *(f for p in SEARCHES[algorithm][0] for f in PHASE_FIELDS[p])}
 
 
-def _run_engine(inst: PlacementInstance, params: PlacementParams,
-                rng: np.random.Generator | int | None, algorithm: str) -> PlacementResult:
-    ga_phase, fa_phase, pso_phase = (p in SEARCH_PHASES[algorithm] for p in ("ga", "fa", "pso"))
+def search_params(algorithm: str, **kw) -> PlacementParams:
+    """The search `algorithm`'s defaults, then `kw`."""
+    return PlacementParams(**{**SEARCHES[algorithm][1], **kw})
+
+
+def run_search(algorithm: str, inst: PlacementInstance, params: PlacementParams | None = None,
+               rng: np.random.Generator | int | None = None) -> PlacementResult:
+    """The search `algorithm` of SEARCHES on `inst`, at its defaults unless `params` is given."""
+    phases = SEARCHES[algorithm][0]
+    ga_phase, fa_phase, pso_phase = (p in phases for p in ("ga", "fa", "pso"))
+    params = params or search_params(algorithm)
     rng = np.random.default_rng(rng)
     tables = _CostTables(inst)
     lam = params.penalty_lambda
@@ -403,7 +395,7 @@ def _run_engine(inst: PlacementInstance, params: PlacementParams,
     gbest_position = pop.position[best_idx].copy()
     gbest_fitness = float(fit[best_idx])
 
-    trace = RunTrace()
+    trace = RunTrace(phase_ms=dict.fromkeys(phases, 0.0))
     described = best_F = best_feasible = None
 
     def record(gen: int, elapsed_ms: float) -> None:
@@ -417,29 +409,34 @@ def _run_engine(inst: PlacementInstance, params: PlacementParams,
 
     record(0, 0.0)
     for gen in range(1, params.generations + 1):
-        t0 = time.perf_counter()
-        if ga_phase:
-            # a new generation: positions mirror it (a firefly pass that
-            # follows sets them), swarm state is untouched
-            pop.assign = _ga_offspring(pop.assign, fit, params, inst.num_nodes, rng)
-            if not fa_phase:
-                pop.position = pop.assign.astype(float)
-        if fa_phase:
-            # without a GA phase the population is the one `fit` was taken of
-            firefly_movement(pop, inst, params.fa_alpha, params.fa_beta,
-                             params.fa_gamma, rng, lam, tables=tables,
-                             fit=None if ga_phase else fit)
-        if ga_phase and pso_phase:
-            # Wholesale replacement created brand-new individuals: personal
-            # bests are keyed to individuals, so each fresh one is its own
-            # best and starts at rest. Keeping the dead slots' bests instead
-            # anchors the swarm to long-gone genomes and stalls the search.
-            # pso_update reads only pbest_position, so no fitness is taken.
-            pop.pbest_position = pop.position.copy()
-            pop.velocity = np.zeros_like(pop.position)
-        if pso_phase:
-            pso_update(pop, inst, gbest_position, params.pso_w,
-                       params.pso_c1, params.pso_c2, rng)
+        t0 = lap = time.perf_counter()
+        for phase in phases:
+            if phase == "ga":
+                # a new generation: positions mirror it (a firefly pass that
+                # follows sets them), swarm state is untouched
+                pop.assign = _ga_offspring(pop.assign, fit, params, inst.num_nodes, rng)
+                if not fa_phase:
+                    pop.position = pop.assign.astype(float)
+            elif phase == "fa":
+                # without a GA phase the population is the one `fit` was taken of
+                firefly_movement(pop, inst, params.fa_alpha, params.fa_beta,
+                                 params.fa_gamma, rng, lam, tables=tables,
+                                 fit=None if ga_phase else fit)
+            else:
+                if ga_phase:
+                    # Wholesale replacement created brand-new individuals:
+                    # personal bests are keyed to individuals, so each fresh
+                    # one is its own best and starts at rest. Keeping the dead
+                    # slots' bests instead anchors the swarm to long-gone
+                    # genomes and stalls the search. pso_update reads only
+                    # pbest_position, so no fitness is taken.
+                    pop.pbest_position = pop.position.copy()
+                    pop.velocity = np.zeros_like(pop.position)
+                pso_update(pop, inst, gbest_position, params.pso_w,
+                           params.pso_c1, params.pso_c2, rng)
+            now = time.perf_counter()
+            trace.phase_ms[phase] += (now - lap) * 1e3
+            lap = now
         fit = tables.fitness_many(pop.assign, lam)
         if pso_phase and not ga_phase:  # a GA phase resets the bests next generation
             improved = fit > pop.pbest_fitness
@@ -462,22 +459,22 @@ def _run_engine(inst: PlacementInstance, params: PlacementParams,
 def madcp_run(inst: PlacementInstance, params: PlacementParams | None = None,
               rng: np.random.Generator | int | None = None) -> PlacementResult:
     """Full memetic loop: GA operations, firefly pass, PSO move, best tracking."""
-    return _run_engine(inst, params or PlacementParams.madcp(), rng, "madcp")
+    return run_search("madcp", inst, params, rng)
 
 
 def ga_run(inst: PlacementInstance, params: PlacementParams | None = None,
            rng: np.random.Generator | int | None = None) -> PlacementResult:
-    return _run_engine(inst, params or PlacementParams.ga(), rng, "ga")
+    return run_search("ga", inst, params, rng)
 
 
 def fa_run(inst: PlacementInstance, params: PlacementParams | None = None,
            rng: np.random.Generator | int | None = None) -> PlacementResult:
-    return _run_engine(inst, params or PlacementParams.fa(), rng, "fa")
+    return run_search("fa", inst, params, rng)
 
 
 def pso_run(inst: PlacementInstance, params: PlacementParams | None = None,
             rng: np.random.Generator | int | None = None) -> PlacementResult:
-    return _run_engine(inst, params or PlacementParams.pso(), rng, "pso")
+    return run_search("pso", inst, params, rng)
 
 
 def random_placement(inst: PlacementInstance,

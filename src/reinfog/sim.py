@@ -172,21 +172,6 @@ def uniform_cluster(n: int, compute_cap: float = 1000.0, mem_avail: float = 1024
     return ClusterSpec(nodes, links)
 
 
-def cluster_to_json(cluster: ClusterSpec) -> dict:
-    return {
-        "nodes": [
-            {"id": nd.id, "compute_cap": nd.compute_cap, "mem_avail": nd.mem_avail,
-             "power_draw": nd.power_draw}
-            for nd in cluster.nodes
-        ],
-        "links": [
-            {"src": src, "dst": dst, "latency_s": lk.latency_s,
-             "bandwidth_mbps": lk.bandwidth_mbps}
-            for (src, dst), lk in sorted(cluster.links.items())
-        ],
-    }
-
-
 def cluster_from_json(doc: dict) -> ClusterSpec:
     try:
         nodes = tuple(Node(_json_id(nd["id"], "node id"), float(nd["compute_cap"]),

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from reinfog import cli
-from reinfog.model import AppDag, instance_to_json
+from reinfog.model import AppDag
 from reinfog.network import NetworkParams, load_policy, save_policy
 from reinfog.placement import brute_force_optimal, random_instance
-from reinfog.sim import baseline_greedy, cluster_to_json, generate_workload, make_reward_spec
+from reinfog.sim import baseline_greedy, generate_workload, make_reward_spec
+
+from json_writers import cluster_to_json, instance_to_json
 
 
 def run_cli(argv: list[str]) -> int:
@@ -214,6 +216,19 @@ def test_place_trace_times_zeroed_without_timing_flag(tmp_path):
     assert all(r[4] == "0.0" for r in rows)
 
 
+def test_place_timing_writes_the_wall_time_of_each_phase_in_metadata(tmp_path):
+    cfg = write_config(tmp_path / "c.json", FAST_PLACE)
+    for timing in ([], ["--timing"]):
+        out = tmp_path / f"out{len(timing)}"
+        assert run_cli(["place", "--config", cfg, "--reps", "1", *timing,
+                        "--algorithms", "madcp,ga,random", "--out", str(out)]) == 0
+        for alg, phases in (("madcp", ["ga", "fa", "pso"]), ("ga", ["ga"]), ("random", [])):
+            meta, _, _ = read_csv(out / f"place_{alg}_rep00.csv")
+            keys = [key for key in meta if key.startswith("phase_ms_")]
+            assert keys == [f"phase_ms_{p}" for p in phases if timing], alg
+            assert all(float(meta[key]) > 0.0 for key in keys)
+
+
 def test_place_best_fitness_never_decreases(tmp_path):
     cfg = write_config(tmp_path / "c.json", FAST_PLACE)
     out = tmp_path / "out"
@@ -333,6 +348,23 @@ def test_train_dist_experience_loss_exits_2_naming_the_dropped_sessions(
                     "--out", str(tmp_path / "out")]) == 2
     assert ("experience loss: workers sent 0, learner received 48; dropped sessions []"
             in capsys.readouterr().err)
+
+
+def test_train_dist_experience_loss_names_each_worker_whose_count_differs(
+        tmp_path, capsys, monkeypatch):
+    real = cli.worker_loop
+
+    def lose_w01(endpoint, worker_id, *args, **kwargs):
+        report = real(endpoint, worker_id, *args, **kwargs)
+        return dataclasses.replace(report, experiences_sent=0) if worker_id == "w01" else report
+
+    monkeypatch.setattr(cli, "worker_loop", lose_w01)
+    cfg = write_config(tmp_path / "c.json", FAST_TRAIN)
+    assert run_cli(["train-dist", "--config", cfg, "--workers", "2", "--seed", "6",
+                    "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "dropped sessions []; w01 sent 0, learner took 24 (not dropped)" in err
+    assert "w00" not in err
 
 
 # -- simulate ----------------------------------------------------------------

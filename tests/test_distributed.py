@@ -116,6 +116,25 @@ def test_single_worker_conservation_and_replay():
     assert policy_to_doc(params) == policy_to_doc(learner.agent.online)
 
 
+def test_the_learner_counts_what_it_took_from_each_worker():
+    learner = small_learner(expected_workers=2)
+    reports: dict[str, WorkerReport] = {}
+
+    def drive(wid: str, episodes: int) -> None:
+        reports[wid] = run_worker(learner.address, wid, episodes=episodes)
+
+    threads = [threading.Thread(target=drive, args=(f"w{i}", 2 + i)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30.0)
+    assert learner.join(timeout=20.0)
+    assert learner.received_by_worker == {wid: r.experiences_sent
+                                          for wid, r in reports.items()}
+    assert learner.received_by_worker == {"w0": 2 * 4, "w1": 3 * 4}
+    assert learner.received_experiences == 5 * 4
+
+
 def test_three_workers_no_loss_no_duplication():
     learner = small_learner(expected_workers=3)
     reports: list[WorkerReport] = []

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-private module-level definition is used somewhere in the package."""
+"""Every name a package module imports is used in that module, every private
+module-level definition is used somewhere in the package, and every public
+function and class has a caller outside the unit tests."""
 
 import ast
 from collections import Counter
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "reinfog"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "reinfog"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -92,3 +94,32 @@ def test_dead_definition_check_sees_an_unused_private_name():
 def test_package_has_no_dead_private_definitions():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert dead_definitions(sources) == []
+
+
+def uncalled_public_definitions(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """Module-level public functions and classes that neither the package,
+    outside their own definition, nor any of the `readers` sources names."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    used = sum((_loaded_names(tree) for tree in [*trees.values(), *map(ast.parse, readers)]),
+               Counter())
+    return sorted(f"{module}: {node.name} (line {node.lineno})"
+                  for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")
+                  and used[node.name] == _loaded_names(node)[node.name])
+
+
+def test_uncalled_definition_check_sees_a_public_name_only_its_definition_names():
+    sources = {"a.py": "def called():\n    pass\ndef recursive():\n    return recursive()\n"
+                       "class Exported:\n    pass\n_private = called\n",
+               "__init__.py": "from .a import Exported\n"}
+    assert uncalled_public_definitions(sources, []) == ["a.py: recursive (line 3)"]
+    assert uncalled_public_definitions(sources, ["a.recursive()"]) == []
+
+
+def test_every_public_definition_has_a_caller_outside_the_unit_tests():
+    # perfbench and the acceptance criteria count as callers; the other tests do not
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    readers = [p.read_text() for p in [*sorted((ROOT / "perfbench").glob("*.py")),
+                                       ROOT / "tests" / "test_acceptance.py"]]
+    assert uncalled_public_definitions(sources, readers) == []

@@ -18,11 +18,9 @@ from reinfog.model import (
     check_constraints,
     critical_path,
     dag_from_json,
-    dag_to_json,
     energy_consumption,
     ghg_emissions,
     instance_from_json,
-    instance_to_json,
     objective,
     operation_energy,
     operation_time,
@@ -31,6 +29,8 @@ from reinfog.model import (
     weighted_cost,
 )
 from reinfog.sim import IncrementalSim, uniform_cluster
+
+from json_writers import dag_to_json, instance_to_json
 
 
 def test_task_run_keeps_its_repr_compares_by_value_and_checks_its_order():

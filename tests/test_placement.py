@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 
@@ -14,6 +15,7 @@ from reinfog.model import (
 )
 from reinfog.placement import (
     ROULETTE_EPS,
+    SEARCHES,
     InfeasibleInstance,
     InstanceTooLarge,
     PlacementParams,
@@ -31,6 +33,9 @@ from reinfog.placement import (
     pso_update,
     random_instance,
     random_placement,
+    run_search,
+    search_fields,
+    search_params,
 )
 
 
@@ -317,6 +322,34 @@ def test_runs_monotone_best_fitness():
             assert all(b >= a for a, b in zip(series, series[1:])), runner.__name__
 
 
+@pytest.mark.parametrize("algorithm", list(SEARCHES))
+def test_each_search_is_its_table_entry(algorithm):
+    defaults = SEARCHES[algorithm][1]
+    assert set(defaults) <= search_fields(algorithm)
+    assert search_params(algorithm) == PlacementParams(**defaults)
+    assert search_params(algorithm, generations=3).generations == 3
+    wrapper = {"madcp": madcp_run, "ga": ga_run, "fa": fa_run, "pso": pso_run}[algorithm]
+    inst = random_instance(5, 3, np.random.default_rng(3))
+    params = search_params(algorithm, population_size=12, generations=4)
+    got, want = run_search(algorithm, inst, params, rng=8), wrapper(inst, params, rng=8)
+    assert (got.algorithm, got.assignment, got.fitness) == (algorithm, want.assignment,
+                                                            want.fitness)
+    assert ([(r.generation, r.best_fitness, r.best_F, r.feasible) for r in got.trace.rows]
+            == [(r.generation, r.best_fitness, r.best_F, r.feasible) for r in want.trace.rows])
+
+
+def test_phase_ms_times_each_phase_the_search_runs():
+    inst = random_instance(5, 3, np.random.default_rng(3))
+    for algorithm, phases in (("madcp", ["ga", "fa", "pso"]), ("ga", ["ga"]),
+                              ("fa", ["fa"]), ("pso", ["pso"])):
+        res = run_search(algorithm, inst, small_params(generations=4), rng=1)
+        assert list(res.trace.phase_ms) == phases
+        assert all(ms > 0.0 for ms in res.trace.phase_ms.values())
+        # the phases run inside the generations, beside fitness and best tracking
+        assert sum(res.trace.phase_ms.values()) < sum(res.trace.generation_times_ms())
+    assert random_placement(inst, rng=1).trace.phase_ms == {}
+
+
 def test_trace_shape_and_result_consistency():
     inst = random_instance(4, 3, np.random.default_rng(2))
     res = madcp_run(inst, small_params(generations=7), rng=0)
@@ -341,8 +374,8 @@ def test_population_size_change_pinned(algorithm, size, operations, node_of,
     # 2 * operations != population_size, so the GA phase changes the
     # population's size; the pinned results guard how swarm state follows
     inst = random_instance(8, 4, rng=np.random.default_rng(5))
-    run, make = {"madcp": (madcp_run, PlacementParams.madcp),
-                 "ga": (ga_run, PlacementParams.ga)}[algorithm]
+    run, make = {"madcp": (madcp_run, functools.partial(search_params, "madcp")),
+                 "ga": (ga_run, functools.partial(search_params, "ga"))}[algorithm]
     params = make(population_size=size, num_operations=operations, generations=10)
     res = run(inst, params, rng=np.random.default_rng(9))
     assert res.assignment.node_of == node_of
@@ -385,10 +418,10 @@ def test_params_validation():
         with pytest.raises(ValueError, match=name):
             PlacementParams(**{name: value})
     assert PlacementParams(num_operations=1).operations == 1
-    assert PlacementParams.ga().crossover_rate == 0.9
-    assert PlacementParams.fa().fa_gamma == 0.1
-    assert PlacementParams.pso().population_size == 100
-    assert PlacementParams.madcp().crossover_rate == 0.8
+    assert search_params("ga").crossover_rate == 0.9
+    assert search_params("fa").fa_gamma == 0.1
+    assert search_params("pso").population_size == 100
+    assert search_params("madcp").crossover_rate == 0.8
     assert PlacementParams(population_size=10).operations == 5
 
 
@@ -551,8 +584,8 @@ def test_fitness_calls_per_generation(monkeypatch):
     monkeypatch.setattr(_CostTables, "fitness_many",
                         lambda self, assign, lam: calls.append(lam) or real(self, assign, lam))
     inst = random_instance(6, 3, np.random.default_rng(11))
-    for run, make, per_generation in ((fa_run, PlacementParams.fa, 1),
-                                      (madcp_run, PlacementParams.madcp, 2)):
+    for run, make, per_generation in ((fa_run, functools.partial(search_params, "fa"), 1),
+                                      (madcp_run, functools.partial(search_params, "madcp"), 2)):
         for gens in (1, 5):
             calls.clear()
             run(inst, make(population_size=20, generations=gens), rng=12)
