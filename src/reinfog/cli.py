@@ -447,9 +447,9 @@ def cmd_train_dist(args: argparse.Namespace, cfg: Config) -> int:
     wall = time.perf_counter() - t0
 
     sent = sum(r.experiences_sent for r in reports.values())
-    taken = learner.received_by_worker
+    taken, why = learner.received_by_worker, dict(learner.dropped_sessions)
     lost = [f"{wid} sent {r.experiences_sent}, learner took {taken.get(wid, 0)} "
-            f"({dict(learner.dropped_sessions).get(wid, 'not dropped')})"
+            f"({why.get(wid, 'not dropped')})"
             for wid, r in sorted(reports.items()) if r.experiences_sent != taken.get(wid, 0)]
     if lost or learner.received_experiences != sent:
         raise RuntimeError("; ".join([
